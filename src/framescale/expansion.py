@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import null_space
 
-from .frame import Frame, error_report
+from .frame import Frame, column_square_norms, error_report
 from .sampling import SeedSpec
 
 __all__ = [
@@ -433,7 +433,7 @@ def cheeger_constant(frame: Frame) -> CheegerResult:
         )
     s = rep.size
     gram = entries @ entries.T
-    col_sq = np.einsum("ij,ij->j", entries, entries)
+    col_sq = column_square_norms(entries)
     best = math.inf
     best_subset = None
     best_k = None

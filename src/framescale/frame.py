@@ -8,6 +8,7 @@ which is the target condition of the scaling routines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +32,8 @@ __all__ = [
 _SPANNING_RTOL = 1e-12
 # Symmetry tolerance for op_norm_symmetric, relative to the Frobenius norm.
 _SYMMETRY_RTOL = 1e-10
-# Above this dimension the spectral norm falls back to power iteration.
-_DENSE_EIG_MAX_DIM = 512
-_POWER_TOL = 1e-12
-_POWER_MAX_ITERS = 10_000
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 class FrameError(ValueError):
@@ -60,10 +59,16 @@ class Frame:
 
     Immutable after construction; the entry array is write-protected.
     Construction rejects non-finite entries and numerically rank-deficient
-    matrices (smallest singular value below ``1e-12`` times the largest).
+    matrices (smallest singular value at most ``1e-12`` times the largest).
+    A successful Cholesky factorization of a shifted Gram matrix certifies
+    spanning with a wide margin (see ``_full_rank_certified``); only when it
+    fails does construction compute the singular values and apply the
+    ``1e-12`` test to them, so the verdict is always that of the SVD test.
+
+    The frame's ``error_report`` is computed on first request and kept.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_report")
 
     def __init__(self, entries):
         mat = np.array(entries, dtype=float)
@@ -78,14 +83,16 @@ class Frame:
             )
         if not np.all(np.isfinite(mat)):
             raise FrameError("frame entries must all be finite")
-        svals = np.linalg.svd(mat, compute_uv=False)
-        if svals[0] == 0.0 or svals[-1] <= _SPANNING_RTOL * svals[0]:
-            raise NonSpanningError(
-                f"columns do not span R^{d}: smallest singular value "
-                f"{svals[-1]:.3e} vs largest {svals[0]:.3e}"
-            )
+        if not _full_rank_certified(mat):
+            svals = np.linalg.svd(mat, compute_uv=False)
+            if svals[0] == 0.0 or svals[-1] <= _SPANNING_RTOL * svals[0]:
+                raise NonSpanningError(
+                    f"columns do not span R^{d}: smallest singular value "
+                    f"{svals[-1]:.3e} vs largest {svals[0]:.3e}"
+                )
         mat.setflags(write=False)
         self._entries = mat
+        self._report = None
 
     @property
     def d(self) -> int:
@@ -108,14 +115,48 @@ class Frame:
         return f"Frame(d={self.d}, n={self.n})"
 
 
+def _full_rank_certified(mat: np.ndarray) -> bool:
+    """True when a Cholesky factorization proves sigma_min / sigma_max > 5e-8.
+
+    For the d x n matrix V, forms G = V V^T and s = tr G >= sigma_max^2 and
+    factors G - tau * s * I with tau = 4 (n + d^2 + 2) eps.  The computed
+    Gram matrix is within about n eps s of G in the 2-norm, and a Cholesky
+    factorization that completes is exact for a matrix within (d + 1) eps s
+    of its input (Higham, Accuracy and Stability of Numerical Algorithms,
+    Thm 10.3; tau budgets d^2 for it).  Success therefore proves, up to
+    terms of order eps^2, lambda_min(G) >= 3 (n + d^2 + 2) eps s, so
+    sigma_min / sigma_max >= sqrt(12 eps) ~ 5e-8: four decades above the
+    1e-12 cutoff and far beyond an SVD's own rounding.  False proves nothing: s overflowed, s is
+    so small that products of entries may be subnormal and void the
+    relative error bounds, or the margin is thinner than tau.  Callers then
+    run their SVD test.
+    """
+    d, n = mat.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = mat @ mat.T
+        s = float(np.trace(gram))
+    # a subnormal product errs by up to tiny * eps absolutely; above this
+    # floor all of them together stay below eps^2 * s
+    if not (math.isfinite(s) and s * _EPS > n * d * _TINY):
+        return False
+    gram.flat[:: d + 1] -= 4.0 * (n + d * d + 2) * _EPS * s
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class ErrorReport:
     """Balance defects of a frame.
 
     ``isotropy_error`` is the symmetric d x d matrix d * V V^T - s * I and
     ``norm_error`` holds the diagonal of n * V^T V - s * I as a length-n
-    vector; both are traceless.  ``l2_error`` combines their mean squares,
-    ``op_error`` is the larger of the two spectral norms.
+    vector; both are traceless.  ``l2_error`` combines their mean squares.
+    ``op_isotropy`` and ``op_norm`` are the two spectral norms, ``op_error``
+    the larger of them, and ``top_isotropy`` the largest eigenvalue of
+    ``isotropy_error``.
     """
 
     size: float
@@ -123,6 +164,9 @@ class ErrorReport:
     norm_error: np.ndarray
     l2_error: float
     op_error: float
+    op_isotropy: float
+    op_norm: float
+    top_isotropy: float
 
     def __post_init__(self):
         self.isotropy_error.setflags(write=False)
@@ -142,8 +186,12 @@ def error_report(frame: Frame) -> ErrorReport:
     """Compute the isotropy and norm defects of a frame.
 
     The norm defect is derived from column norms alone; the n x n Gram
-    matrix is never formed.
+    matrix is never formed.  One symmetric eigenvalue decomposition gives
+    every spectral quantity.  The report is computed once per frame and
+    returned again on later calls.
     """
+    if frame._report is not None:
+        return frame._report
     mat = frame.entries
     d, n = mat.shape
     col_sq = column_square_norms(mat)
@@ -152,14 +200,20 @@ def error_report(frame: Frame) -> ErrorReport:
     iso = 0.5 * (iso + iso.T)
     norm_err = n * col_sq - s
     l2 = float(np.sum(iso * iso) / d + np.sum(norm_err * norm_err) / n)
-    op = max(op_norm_symmetric(iso), float(np.max(np.abs(norm_err))))
-    return ErrorReport(
+    eigs = _symmetric_eigvalsh(iso)
+    op_iso = float(np.max(np.abs(eigs)))
+    op_norm = float(np.max(np.abs(norm_err)))
+    frame._report = ErrorReport(
         size=s,
         isotropy_error=iso,
         norm_error=norm_err,
         l2_error=l2,
-        op_error=op,
+        op_error=max(op_iso, op_norm),
+        op_isotropy=op_iso,
+        op_norm=op_norm,
+        top_isotropy=float(eigs[-1]),
     )
+    return frame._report
 
 
 def is_eps_doubly_balanced(frame: Frame, eps: float) -> bool:
@@ -173,9 +227,16 @@ def is_eps_doubly_balanced(frame: Frame, eps: float) -> bool:
 def op_norm_symmetric(mat) -> float:
     """Spectral norm (largest absolute eigenvalue) of a symmetric matrix.
 
-    Uses a full symmetric eigendecomposition up to dimension 512 and power
-    iteration above.  Rejects input whose asymmetry exceeds 1e-10 times its
-    Frobenius norm.
+    Uses a full symmetric eigendecomposition.  Rejects input whose
+    asymmetry exceeds 1e-10 times its Frobenius norm.
+    """
+    return float(np.max(np.abs(_symmetric_eigvalsh(mat)), initial=0.0))
+
+
+def _symmetric_eigvalsh(mat) -> np.ndarray:
+    """Ascending eigenvalues of a finite, numerically symmetric square matrix.
+
+    A zero matrix gets zeros without a decomposition.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -184,38 +245,14 @@ def op_norm_symmetric(mat) -> float:
         raise ValueError("matrix entries must be finite")
     fnorm = float(np.linalg.norm(mat))
     if fnorm == 0.0:
-        return 0.0
+        return np.zeros(mat.shape[0])
     asym = float(np.linalg.norm(mat - mat.T))
     if asym > _SYMMETRY_RTOL * fnorm:
         raise ValueError(
             f"matrix is not symmetric: asymmetry {asym:.3e} exceeds "
             f"{_SYMMETRY_RTOL:.0e} * ||M||_F = {_SYMMETRY_RTOL * fnorm:.3e}"
         )
-    m = mat.shape[0]
-    if m <= _DENSE_EIG_MAX_DIM:
-        return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
-    return _power_iteration_norm(mat)
-
-
-def _power_iteration_norm(mat):
-    m = mat.shape[0]
-    vec = np.full(m, 1.0 / np.sqrt(m))
-    # fixed deterministic perturbation so a symmetric start cannot sit
-    # exactly orthogonal to the dominant eigenvector
-    vec[0] += 0.5
-    vec /= np.linalg.norm(vec)
-    prev = 0.0
-    est = 0.0
-    for _ in range(_POWER_MAX_ITERS):
-        nxt = mat @ vec
-        est = float(np.linalg.norm(nxt))
-        if est == 0.0:
-            return 0.0
-        vec = nxt / est
-        if abs(est - prev) <= _POWER_TOL * max(est, 1.0):
-            break
-        prev = est
-    return est
+    return np.linalg.eigvalsh(mat)
 
 
 # ---------------------------------------------------------------------------

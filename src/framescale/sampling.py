@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import DegenerateColumnError, Frame
+from .frame import DegenerateColumnError, Frame, column_square_norms
 from .scaling import pd_inv_sqrt, pd_sqrt
 from .tyler import ShapePD
 
@@ -113,7 +113,7 @@ class EllipticalModel:
 
 def _sphere_columns(d: int, n: int, gen: np.random.Generator) -> np.ndarray:
     gauss = gen.standard_normal((d, n))
-    norms = np.sqrt(np.einsum("ij,ij->j", gauss, gauss))
+    norms = np.sqrt(column_square_norms(gauss))
     if np.any(norms == 0.0):
         raise RuntimeError("degenerate zero draw from the Gaussian stream")
     return gauss / norms
@@ -159,7 +159,7 @@ def sample_gaussian_frame(d: int, n: int, variance: float, seed: SeedSpec) -> Fr
 def normalize_columns(data) -> Frame:
     """Scale every column to unit norm; the output frame has size n."""
     data = np.asarray(data, dtype=float)
-    norms = np.sqrt(np.einsum("ij,ij->j", data, data))
+    norms = np.sqrt(column_square_norms(data))
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise DegenerateColumnError(int(zero[0]))

@@ -16,9 +16,9 @@ import numpy as np
 from .frame import (
     DegenerateColumnError,
     Frame,
+    _full_rank_certified,
     column_square_norms,
     error_report,
-    op_norm_symmetric,
 )
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "StagnationError",
     "pd_sqrt",
     "pd_inv_sqrt",
-    "pd_inverse",
     "flip_flop_step",
     "gradient_flow_step",
     "solve_scaling",
@@ -78,15 +77,17 @@ def pd_inv_sqrt(mat) -> np.ndarray:
     return (u / np.sqrt(w)) @ u.T
 
 
-def pd_inverse(mat) -> np.ndarray:
-    """Inverse of a positive-definite matrix via eigendecomposition."""
-    w, u = _pd_eig(mat)
-    return (u / w) @ u.T
-
-
 @dataclass(frozen=True)
 class ScalingPair:
-    """Left matrix and positive diagonal right scaling, applied as L V diag(R)."""
+    """Left matrix and positive diagonal right scaling, applied as L V diag(R).
+
+    Construction rejects a left factor that is not square, not finite or
+    singular (smallest singular value zero), and right entries that are not
+    finite and positive.  A Cholesky factorization of the shifted Gram
+    matrix of the left factor certifies invertibility with a wide margin
+    (see ``frame._full_rank_certified``); only when it fails are the
+    singular values computed and tested.
+    """
 
     left: np.ndarray
     right: np.ndarray
@@ -98,9 +99,10 @@ class ScalingPair:
             raise ValueError("left scaling must be square")
         if not np.all(np.isfinite(left)):
             raise ValueError("left scaling must be finite")
-        svals = np.linalg.svd(left, compute_uv=False)
-        if svals[-1] <= 0.0:
-            raise ValueError("left scaling must be invertible")
+        if not _full_rank_certified(left):
+            svals = np.linalg.svd(left, compute_uv=False)
+            if svals[-1] <= 0.0:
+                raise ValueError("left scaling must be invertible")
         if right.ndim != 1:
             raise ValueError("right scaling must be a vector of diagonal entries")
         if not np.all(np.isfinite(right)) or np.any(right <= 0.0):
@@ -244,11 +246,10 @@ def flip_flop_step(frame: Frame):
 
 
 def _flow_step_size(rep, config):
-    op_iso = op_norm_symmetric(rep.isotropy_error)
-    op_norm = float(np.max(np.abs(rep.norm_error))) if rep.norm_error.size else 0.0
     s = rep.size
-    h = config.step_safety * min(0.1 * s / (op_iso + op_norm + 1e-30), 0.1 / s)
-    return h, op_iso, op_norm
+    return config.step_safety * min(
+        0.1 * s / (rep.op_isotropy + rep.op_norm + 1e-30), 0.1 / s
+    )
 
 
 def gradient_flow_step(state: FlowState, config: SolverConfig, dt=None) -> FlowState:
@@ -261,7 +262,7 @@ def gradient_flow_step(state: FlowState, config: SolverConfig, dt=None) -> FlowS
     derivative diagnostics and tests).
     """
     rep = error_report(state.frame)
-    h, op_iso, op_norm = _flow_step_size(rep, config)
+    h = _flow_step_size(rep, config)
     mat = state.frame.entries
     d, n = mat.shape
     iso = rep.isotropy_error
@@ -270,7 +271,7 @@ def gradient_flow_step(state: FlowState, config: SolverConfig, dt=None) -> FlowS
         h = float(dt)
     else:
         # keep both multiplicative factors strictly positive
-        top = max(float(np.linalg.eigvalsh(iso)[-1]), float(np.max(norm_err)), 0.0)
+        top = max(rep.top_isotropy, float(np.max(norm_err)), 0.0)
         if top > 0.0:
             h = min(h, 0.9 / top)
     if h < _MIN_STEP:
@@ -287,8 +288,8 @@ def gradient_flow_step(state: FlowState, config: SolverConfig, dt=None) -> FlowS
         frame=Frame(new_mat),
         scaling=new_scaling,
         time=state.time + h,
-        int_isotropy_op=state.int_isotropy_op + h * op_iso,
-        int_norm_op=state.int_norm_op + h * op_norm,
+        int_isotropy_op=state.int_isotropy_op + h * rep.op_isotropy,
+        int_norm_op=state.int_norm_op + h * rep.op_norm,
     )
 
 
@@ -416,12 +417,11 @@ def checkpoint_row(time, rep, int_iso, int_norm) -> "CheckpointRow":
 
 
 def _checkpoint(time, rep, int_iso, int_norm):
-    op_norm = float(np.max(np.abs(rep.norm_error))) if rep.norm_error.size else 0.0
     return CheckpointRow(
         time=time,
         size=rep.size,
-        op_error_E=op_norm_symmetric(rep.isotropy_error),
-        op_error_F=op_norm,
+        op_error_E=rep.op_isotropy,
+        op_error_F=rep.op_norm,
         delta=rep.l2_error,
         int_E_op=int_iso,
         int_F_op=int_norm,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frame import DegenerateColumnError, op_norm_symmetric
+from .frame import DegenerateColumnError, column_square_norms, op_norm_symmetric
 from .scaling import ScalingPair, SolverConfig, pd_inv_sqrt, pd_sqrt
 
 __all__ = [
@@ -101,7 +101,7 @@ def _check_columns(data):
         raise ValueError("data must be a d x n matrix")
     if not np.all(np.isfinite(data)):
         raise ValueError("data entries must be finite")
-    col_sq = np.einsum("ij,ij->j", data, data)
+    col_sq = column_square_norms(data)
     if np.any(col_sq == 0.0):
         raise DegenerateColumnError(int(np.argmin(col_sq)))
     return data
@@ -213,7 +213,7 @@ def scaling_from_estimator(data, sigma_hat: ShapePD) -> ScalingPair:
     data = _check_columns(data)
     left = pd_inv_sqrt(sigma_hat.matrix)
     whitened = left @ data
-    col_sq = np.einsum("ij,ij->j", whitened, whitened)
+    col_sq = column_square_norms(whitened)
     return ScalingPair(left, 1.0 / np.sqrt(col_sq))
 
 

@@ -9,6 +9,7 @@ from framescale import (
     Frame,
     FrameError,
     NonSpanningError,
+    ScalingPair,
     error_report,
     is_eps_doubly_balanced,
     load_frame,
@@ -17,6 +18,7 @@ from framescale import (
     save_matrix_text,
     size,
 )
+from framescale.frame import _full_rank_certified
 
 TWO_HEAVY = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -55,6 +57,78 @@ class TestFrameConstruction:
         frame = Frame(np.eye(2))
         with pytest.raises(ValueError):
             frame.entries[0, 0] = 5.0
+
+
+def _designed_matrix(d, n, log_ratio, log_scale, defect, seed):
+    """U diag(sigma) W^T with sigma_min / sigma_max = 10**log_ratio, scaled by
+    10**log_scale, optionally made exactly rank-deficient."""
+    gen = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(gen.standard_normal((d, d)))
+    w, _ = np.linalg.qr(gen.standard_normal((n, d)))
+    sigma = np.logspace(0.0, log_ratio, d) * 10.0**log_scale
+    mat = (u * sigma) @ w.T
+    if defect == "zero_row":
+        mat[-1] = 0.0
+    elif defect == "repeated_row":
+        mat[-1] = mat[0]
+    return mat
+
+
+def _svd_spans(mat):
+    """Frame's singular-value spanning test on its own."""
+    svals = np.linalg.svd(mat, compute_uv=False)
+    return not (svals[0] == 0.0 or svals[-1] <= 1e-12 * svals[0])
+
+
+def _svd_invertible(mat):
+    """ScalingPair's singular-value invertibility test on its own."""
+    return bool(np.linalg.svd(mat, compute_uv=False)[-1] > 0.0)
+
+
+designed_params = st.tuples(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=12),
+    st.floats(min_value=-14.0, max_value=-2.0),
+    st.floats(min_value=-160.0, max_value=160.0),
+    st.sampled_from(["none", "none", "zero_row", "repeated_row"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+class TestSpanningCertificate:
+    @given(designed_params)
+    @settings(max_examples=300, deadline=None)
+    def test_frame_verdict_matches_svd_test(self, params):
+        d, extra, log_ratio, log_scale, defect, seed = params
+        mat = _designed_matrix(d, d + extra, log_ratio, log_scale, defect, seed)
+        try:
+            Frame(mat)
+            spans = True
+        except NonSpanningError:
+            spans = False
+        assert spans == _svd_spans(mat)
+
+    @given(designed_params)
+    @settings(max_examples=300, deadline=None)
+    def test_scaling_pair_verdict_matches_svd_test(self, params):
+        d, _, log_ratio, log_scale, defect, seed = params
+        mat = _designed_matrix(d, d, log_ratio, log_scale, defect, seed)
+        try:
+            ScalingPair(mat, np.ones(3))
+            invertible = True
+        except ValueError:
+            invertible = False
+        assert invertible == _svd_invertible(mat)
+
+    @pytest.mark.parametrize("log_scale", [-160.0, 160.0])
+    def test_extreme_scales_reach_the_svd_fallback(self, log_scale):
+        mat = _designed_matrix(4, 16, -1.0, log_scale, "none", 0)
+        assert not _full_rank_certified(mat)
+        assert _full_rank_certified(mat * 10.0**-log_scale)
+        Frame(mat)
+        left = _designed_matrix(4, 4, -1.0, log_scale, "none", 0)
+        assert not _full_rank_certified(left)
+        ScalingPair(left, np.ones(1))
 
 
 class TestSize:
@@ -193,7 +267,7 @@ class TestOpNormSymmetric:
             op_norm_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_power_iteration_path(self):
-        # above the dense-eigendecomposition cutoff of 512
+        # a 600 x 600 matrix: the dense path serves every dimension
         m = 600
         gen = np.random.default_rng(0)
         diag = gen.uniform(-2.0, 2.0, size=m)

@@ -128,6 +128,41 @@ class TestGradientFlowStep:
         assert nxt.int_norm_op == 0.0
 
 
+def _count_decompositions(monkeypatch):
+    """Count numpy.linalg eigh, eigvalsh and svd calls from here on."""
+    counts = {}
+    for name in ("eigh", "eigvalsh", "svd"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+class TestDecompositionCount:
+    def test_flow_step_one_eigvalsh(self, monkeypatch):
+        state = FlowState.start(sample_sphere_frame(16, 64, SeedSpec(0, 1)))
+        known = error_report(state.frame)
+        counts = _count_decompositions(monkeypatch)
+        new = gradient_flow_step(state, SolverConfig())
+        # the step reads the known report, the solver then reports the new
+        # frame once, and every later request is served from the frame
+        assert error_report(state.frame) is known
+        rep = error_report(new.frame)
+        assert error_report(new.frame) is rep
+        assert counts == {"eigvalsh": 1}
+
+    def test_flipflop_round_two_decompositions(self, monkeypatch):
+        frame = sample_sphere_frame(16, 64, SeedSpec(0, 1))
+        counts = _count_decompositions(monkeypatch)
+        out, _ = flip_flop_step(frame)
+        error_report(out.scaled(0.5))
+        assert counts == {"eigh": 1, "eigvalsh": 1}
+
+
 class TestSolveScaling:
     def test_identity_zero_iterations(self):
         result = solve_scaling(Frame(np.eye(4)), SolverConfig(tol=1e-10))
