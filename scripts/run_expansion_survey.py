@@ -36,7 +36,8 @@ def main():
     path.write_text(output.csv_text, encoding="utf-8")
     print(f"wrote {path}")
     print(f"sampled mode: lambda upper bound > 0 in "
-          f"{output.summary['lambda_positive']}/{output.summary['trials_total']}"
+          f"{output.summary['lambda_upper_bound_positive']}"
+          f"/{output.summary['trials_total']}"
           f" trials")
 
 

@@ -308,6 +308,10 @@ def run_expansion_survey(cfg: ExperimentConfig) -> SweepOutput:
     the identity frame is prepended; its expansion constant is exactly zero.
     The identity frame has n = d, and its beta=1/4 column needs 4 | n, so
     for other d no control row is written.
+
+    The summary counts trials with lambda_infty > 0 as ``lambda_positive``
+    in exact mode; in sampled mode the count is of upper bounds, and is
+    named ``lambda_upper_bound_positive``.
     """
     for n in cfg.n_grid:
         if n % 4:
@@ -353,8 +357,9 @@ def run_expansion_survey(cfg: ExperimentConfig) -> SweepOutput:
             emit(frame, n, trial, streams)
     positive = sum(1 for r in rows if r[2] >= 0 and r[7] > 0.0)
     total = sum(1 for r in rows if r[2] >= 0)
-    lines.append(f"# lambda_positive={positive}/{total}")
-    summary = {"lambda_positive": positive, "trials_total": total}
+    key = "lambda_positive" if cfg.mode == "exact" else "lambda_upper_bound_positive"
+    lines.append(f"# {key}={positive}/{total}")
+    summary = {key: positive, "trials_total": total}
     return SweepOutput(csv_text="\n".join(lines) + "\n", summary=summary, rows=rows)
 
 

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from framescale import (
+    EllipticalModel,
     ExperimentConfig,
     FlowState,
     Frame,
     RadialLaw,
     SeedSpec,
+    ShapePD,
     SolverConfig,
     error_report,
     estimator_from_scaling,
@@ -24,10 +26,12 @@ from framescale import (
     infty_implies_quantum_check,
     normalize_columns,
     pseudorandom_check,
+    relative_op_error,
     run_convergence,
     run_diagnostics,
     run_expansion_survey,
     run_sample_complexity,
+    sample_elliptical,
     sample_sphere_frame,
     scaling_from_estimator,
     size,
@@ -197,6 +201,35 @@ def test_criterion_07_distribution_freeness():
     ok = columns[0] == columns[1] == columns[2]
     _report(7, "distribution-freeness (bitwise)", ok,
             f"{len(columns[0])} rows {elapsed:.1f}s")
+    assert ok
+
+
+def test_criterion_07_invariance_to_drawn_radii():
+    """The estimate from raw elliptical data equals the one from its unit
+    columns; the data carry real radii, so the check is not vacuous."""
+    start = time.perf_counter()
+    shape = ShapePD.normalized(np.diag(np.geomspace(1.0, 10.0, 8)))
+    worst = 0.0
+    # smallest column-norm max/min ratio over the trials of each law
+    spreads = {}
+    for law in (RadialLaw.constant(), RadialLaw.gaussian_norm(),
+                RadialLaw.student_t(2.0)):
+        name = str(law)
+        spreads[name] = math.inf
+        for t in range(10):
+            data = sample_elliptical(EllipticalModel(shape, law), 64,
+                                     SeedSpec(777, t))
+            norms = np.linalg.norm(data, axis=0)
+            spreads[name] = min(spreads[name], norms.max() / norms.min())
+            raw = tyler_iterate(data)
+            unit = tyler_iterate(normalize_columns(data).entries)
+            assert raw.converged and unit.converged, (name, t)
+            worst = max(worst, relative_op_error(raw.sigma_hat, unit.sigma_hat))
+    elapsed = time.perf_counter() - start
+    ok = worst <= 1e-9 and spreads["gaussian"] > 2.0 and spreads["t:2"] > 2.0
+    _report(7, "distribution-freeness (drawn radii)", ok,
+            f"worst rel_op_error {worst:.1e}, norm max/min gaussian "
+            f"{spreads['gaussian']:.1f} t:2 {spreads['t:2']:.1f} {elapsed:.1f}s")
     assert ok
 
 

@@ -157,6 +157,17 @@ class TestExpansionSurvey:
         assert all(r[12] == "sampled" for r in out.rows)
         assert len(out.rows) == 2
 
+    def test_sampled_summary_names_upper_bounds(self):
+        cfg = ExperimentConfig(kind="expansion-survey", d=4, n_grid=(8,),
+                               trials=2, master_seed=2, mode="sampled",
+                               subsets=40)
+        out = run_expansion_survey(cfg)
+        lines = out.csv_text.splitlines()
+        assert not any(line.startswith("# lambda_positive=") for line in lines)
+        assert lines[-1].startswith("# lambda_upper_bound_positive=")
+        assert "lambda_positive" not in out.summary
+        assert out.summary["trials_total"] == 2
+
     def test_rejects_bad_n(self):
         cfg = ExperimentConfig(kind="expansion-survey", d=4, n_grid=(10,),
                                trials=1, master_seed=2, mode="exact")

@@ -1,4 +1,6 @@
+import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from framescale import (
     tyler_fixed_point_residual,
     tyler_iterate,
 )
-from framescale.tyler import result_from_json, result_to_json
+from framescale import tyler as tyler_module
+from framescale.tyler import _quadratic_forms, result_from_json, result_to_json
 
 from _oracles import damped_tyler
 
@@ -46,6 +49,25 @@ class TestShapePD:
     def test_normalized_constructor(self):
         shape = ShapePD.normalized(np.diag([4.0, 1.0]))
         assert np.allclose(shape.matrix, np.diag([1.6, 0.4]))
+
+
+class TestQuadraticForms:
+    @pytest.mark.parametrize("d,n", [(2, 3), (16, 4096), (64, 1024)])
+    def test_matches_per_column_loop(self, d, n):
+        gen = np.random.default_rng(1000 * d + n)
+        data = gen.standard_normal((d, n))
+        root = gen.standard_normal((d, d))
+        mat = root @ root.T + d * np.eye(d)
+        expected = np.array([x @ mat @ x for x in data.T])
+        np.testing.assert_allclose(_quadratic_forms(data, mat), expected,
+                                   rtol=1e-12, atol=0.0)
+
+    def test_no_three_operand_einsum(self):
+        source = inspect.getsource(tyler_module)
+        specs = re.findall(r"einsum\(\s*[\"']([^\"']*)[\"']", source)
+        assert specs, "expected the quadratic-form helper's einsum"
+        slow = [spec for spec in specs if spec.split("->")[0].count(",") >= 2]
+        assert not slow, f"3-operand einsum in tyler.py: {slow}"
 
 
 class TestFixedPointResidual:
