@@ -25,10 +25,14 @@ from .experiments import (
 )
 from .frame import FrameError, error_report, load_frame, read_matrix_text
 from .sampling import RadialLaw, SeedSpec, sample_sphere_frame
-from .scaling import CheckpointRow, SolverConfig, checkpoint_row, solve_scaling
+from .scaling import SolverConfig, solve_scaling
 from .tyler import result_to_json, tyler_iterate
 
 __all__ = ["main", "build_parser"]
+
+_TRAJECTORY_HEADER = "time,size,op_error_E,op_error_F,delta,int_E_op,int_F_op"
+# the scaling trajectory CSV has a row every this many steps, then the final state
+_TRAJECTORY_EVERY = 10
 
 
 def _parse_n_grid(text):
@@ -161,26 +165,39 @@ def _emit_sweep(output, args):
 
 def _cmd_estimate(args):
     matrix, _ = read_matrix_text(args.input)
-    config = None
-    if args.max_iters is not None:
-        config = SolverConfig(tol=args.tol, max_iters=args.max_iters)
-    result = tyler_iterate(matrix, config=config, tol=args.tol)
-    _emit(result_to_json(result), args.json)
+    capacities = []
+    result = tyler_iterate(
+        matrix, tol=args.tol, max_iters=args.max_iters,
+        observe=lambda t, sigma, cap, res: capacities.append(cap),
+    )
+    _emit(result_to_json(result, capacities), args.json)
     return 0
+
+
+def _trajectory_row(time, rep, int_iso, int_norm):
+    values = (time, rep.size, rep.op_isotropy, rep.op_norm, rep.l2_error,
+              int_iso, int_norm)
+    return ",".join(f"{v:.17g}" for v in values)
 
 
 def _cmd_scale(args):
     frame = load_frame(args.input)
     config = SolverConfig(tol=args.tol, max_iters=args.max_iters)
-    result = solve_scaling(frame, config, method=args.method)
+    observe = None
     if args.csv is not None:
-        rows = list(result.checkpoints)
-        rows.append(checkpoint_row(
-            float(result.iterations), error_report(result.frame),
-            result.int_isotropy_op, result.int_norm_op,
-        ))
-        text = CheckpointRow.HEADER + "\n" + "\n".join(r.csv() for r in rows) + "\n"
-        _emit(text, args.csv)
+        rows = []
+        last = (0.0, error_report(frame), 0.0, 0.0)
+
+        def observe(t, *point):
+            nonlocal last
+            last = point
+            if t % _TRAJECTORY_EVERY == 0:
+                rows.append(_trajectory_row(*point))
+
+    result = solve_scaling(frame, config, method=args.method, observe=observe)
+    if args.csv is not None:
+        rows.append(_trajectory_row(*last))
+        _emit(_TRAJECTORY_HEADER + "\n" + "\n".join(rows) + "\n", args.csv)
     summary = {
         "method": result.method,
         "converged": result.converged,
@@ -220,8 +237,6 @@ def _sweep_config(args, kind, n_grid, **extra):
         shape=getattr(args, "shape", ShapeSpec("identity")),
         master_seed=args.seed,
         tol=getattr(args, "tol", 1e-10),
-        csv_path=args.csv,
-        json_path=args.json,
         **extra,
     )
 
@@ -247,8 +262,6 @@ def _cmd_survey(args):
         master_seed=args.seed,
         mode=args.mode,
         subsets=args.subsets,
-        csv_path=args.csv,
-        json_path=args.json,
     )
     _emit_sweep(run_expansion_survey(cfg), args)
     return 0

@@ -97,6 +97,12 @@ class ShapeSpec:
 
 @dataclass
 class ExperimentConfig:
+    """Settings of one sweep; each runner reads the fields it needs.
+
+    ``kind`` names the experiment.  No runner reads it; it stays because
+    the benchmark workloads in ``perfbench/workloads.py`` pass it.
+    """
+
     kind: str
     d: int
     n_grid: tuple
@@ -108,8 +114,6 @@ class ExperimentConfig:
     mode: str = "exact"
     subsets: int = 2000
     h: float = 1e-6
-    csv_path: str | None = None
-    json_path: str | None = None
 
     def __post_init__(self):
         self.n_grid = tuple(int(n) for n in self.n_grid)
@@ -246,22 +250,20 @@ def run_convergence(cfg: ExperimentConfig) -> SweepOutput:
     trial_summaries = []
     for trial in range(cfg.trials):
         frame = _estimation_input(cfg, sigma_half, n, trial)
-        result = tyler_iterate(frame.entries, tol=cfg.tol, keep_iterates=True)
+        path = []
+        result = tyler_iterate(frame.entries, tol=cfg.tol,
+                               observe=lambda *point: path.append(point))
         refined = tyler_iterate(
             frame.entries, tol=min(cfg.tol, 1e-12) * 1e-2,
             initial=result.sigma_hat,
         )
         limit = refined.sigma_hat.matrix
-        count = min(len(result.iterates), len(result.capacity_trace),
-                    len(result.residual_trace))
-        gaps = [float(np.linalg.norm(result.iterates[t] - limit))
-                for t in range(count)]
-        for t in range(count):
-            row = (trial, t, gaps[t], result.capacity_trace[t],
-                   result.residual_trace[t])
+        gaps = [float(np.linalg.norm(sigma - limit)) for _, sigma, _, _ in path]
+        for (t, _, cap, res), gap in zip(path, gaps):
+            row = (trial, t, gap, cap, res)
             rows.append(row)
             lines.append(",".join(_fmt(v) for v in row))
-        caps = result.capacity_trace[:count]
+        caps = [cap for _, _, cap, _ in path]
         max_rise = max(
             (caps[t + 1] - caps[t] for t in range(len(caps) - 1)), default=0.0
         )

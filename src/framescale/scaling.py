@@ -9,7 +9,7 @@ left/right scalings it applies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,8 +26,6 @@ __all__ = [
     "SolverConfig",
     "FlowState",
     "ScalingResult",
-    "CheckpointRow",
-    "checkpoint_row",
     "IllConditionedError",
     "StagnationError",
     "pd_sqrt",
@@ -45,6 +43,8 @@ __all__ = [
 _EIG_FLOOR = 1e-14
 _GRAM_MAX_COND = 1e14
 _MIN_STEP = 1e-18
+# fraction of the automatic flow step actually taken
+_STEP_SAFETY = 0.5
 
 
 class IllConditionedError(RuntimeError):
@@ -122,22 +122,16 @@ class ScalingPair:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Termination and step-control knobs shared by the scaling solvers."""
+    """Termination knobs shared by the scaling solvers."""
 
     tol: float = 1e-8
     max_iters: int = 100_000
-    step_safety: float = 0.5
-    checkpoint_every: int = 10
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
-        if not 0 < self.step_safety <= 1:
-            raise ValueError(f"step_safety must be in (0, 1], got {self.step_safety}")
-        if self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be positive")
 
 
 @dataclass(frozen=True)
@@ -174,35 +168,6 @@ class FlowState:
         return float(np.linalg.norm(rebuilt - self.frame.entries) / denom)
 
 
-@dataclass(frozen=True)
-class CheckpointRow:
-    """One trajectory checkpoint; field names match the CSV schema."""
-
-    time: float
-    size: float
-    op_error_E: float
-    op_error_F: float
-    delta: float
-    int_E_op: float
-    int_F_op: float
-
-    HEADER = "time,size,op_error_E,op_error_F,delta,int_E_op,int_F_op"
-
-    def csv(self) -> str:
-        return ",".join(
-            f"{v:.17g}"
-            for v in (
-                self.time,
-                self.size,
-                self.op_error_E,
-                self.op_error_F,
-                self.delta,
-                self.int_E_op,
-                self.int_F_op,
-            )
-        )
-
-
 @dataclass
 class ScalingResult:
     """Outcome of solve_scaling.  Non-convergence is a result, not an error."""
@@ -213,10 +178,6 @@ class ScalingResult:
     iterations: int
     final_ratio: float
     method: str
-    checkpoints: list = field(default_factory=list)
-    round_ratios: list = field(default_factory=list)
-    int_isotropy_op: float = 0.0
-    int_norm_op: float = 0.0
     scaling_bound: dict | None = None
     failure: str | None = None
 
@@ -245,14 +206,14 @@ def flip_flop_step(frame: Frame):
     return Frame(out), ScalingPair(left, right)
 
 
-def _flow_step_size(rep, config):
+def _flow_step_size(rep):
     s = rep.size
-    return config.step_safety * min(
+    return _STEP_SAFETY * min(
         0.1 * s / (rep.op_isotropy + rep.op_norm + 1e-30), 0.1 / s
     )
 
 
-def gradient_flow_step(state: FlowState, config: SolverConfig, dt=None) -> FlowState:
+def gradient_flow_step(state: FlowState, dt=None) -> FlowState:
     """Advance the balancing flow by one first-order step.
 
     The frame update is the multiplicative first-order integrator
@@ -262,7 +223,7 @@ def gradient_flow_step(state: FlowState, config: SolverConfig, dt=None) -> FlowS
     derivative diagnostics and tests).
     """
     rep = error_report(state.frame)
-    h = _flow_step_size(rep, config)
+    h = _flow_step_size(rep)
     mat = state.frame.entries
     d, n = mat.shape
     iso = rep.isotropy_error
@@ -294,12 +255,18 @@ def gradient_flow_step(state: FlowState, config: SolverConfig, dt=None) -> FlowS
 
 
 def solve_scaling(frame: Frame, config: SolverConfig | None = None,
-                  method: str = "flipflop") -> ScalingResult:
+                  method: str = "flipflop", observe=None) -> ScalingResult:
     """Find scalings (L, R) making L V diag(R) doubly balanced.
 
     Terminates when op_error / size drops to config.tol.  When the budget
     runs out, or a step degenerates, the best iterate is returned with
     converged=False; the scaling problem may genuinely have no solution.
+
+    ``observe(iteration, time, report, int_isotropy_op, int_norm_op)``, when
+    given, is called after every step with the step count, the time so far
+    (flow time for the flow, the round count for flip-flop), the
+    ``ErrorReport`` of the new frame and the two defect integrals (zero for
+    flip-flop).
     """
     if config is None:
         config = SolverConfig()
@@ -307,27 +274,15 @@ def solve_scaling(frame: Frame, config: SolverConfig | None = None,
         raise ValueError(f"method must be 'flipflop' or 'flow', got {method!r}")
     rep = error_report(frame)
     ratio = rep.op_error / rep.size
-    if ratio <= config.tol:
-        return ScalingResult(
-            scaling=ScalingPair.identity(frame.d, frame.n),
-            frame=frame,
-            converged=True,
-            iterations=0,
-            final_ratio=ratio,
-            method=method,
-            round_ratios=[ratio],
-        )
     if method == "flipflop":
-        return _solve_flipflop(frame, config, ratio)
-    return _solve_flow(frame, config, ratio)
+        return _solve_flipflop(frame, config, ratio, observe)
+    return _solve_flow(frame, config, ratio, observe)
 
 
-def _solve_flipflop(frame, config, ratio):
+def _solve_flipflop(frame, config, ratio, observe):
     current = frame
     left = np.eye(frame.d)
     right = np.ones(frame.n)
-    ratios = [ratio]
-    checkpoints = []
     iters = 0
     failure = None
     while ratio > config.tol and iters < config.max_iters:
@@ -345,9 +300,8 @@ def _solve_flipflop(frame, config, ratio):
         iters += 1
         rep = error_report(current)
         ratio = rep.op_error / rep.size
-        ratios.append(ratio)
-        if iters % config.checkpoint_every == 0:
-            checkpoints.append(_checkpoint(float(iters), rep, 0.0, 0.0))
+        if observe is not None:
+            observe(iters, float(iters), rep, 0.0, 0.0)
     return ScalingResult(
         scaling=ScalingPair(left, right),
         frame=current,
@@ -355,47 +309,38 @@ def _solve_flipflop(frame, config, ratio):
         iterations=iters,
         final_ratio=ratio,
         method="flipflop",
-        checkpoints=checkpoints,
-        round_ratios=ratios,
         failure=failure,
     )
 
 
-def _solve_flow(frame, config, ratio):
+def _solve_flow(frame, config, ratio, observe):
     state = FlowState.start(frame)
-    checkpoints = []
     iters = 0
     failure = None
-    s0 = float(np.sum(frame.entries * frame.entries))
     while ratio > config.tol and iters < config.max_iters:
         try:
-            state = gradient_flow_step(state, config)
+            state = gradient_flow_step(state)
         except StagnationError as exc:
             failure = str(exc)
             break
         iters += 1
         rep = error_report(state.frame)
         ratio = rep.op_error / rep.size
-        if iters % config.checkpoint_every == 0:
-            checkpoints.append(
-                _checkpoint(state.time, rep, state.int_isotropy_op, state.int_norm_op)
-            )
-    bound = None
-    if abs(s0 - 1.0) <= 1e-6:
-        # accumulation bound: reported for inspection, never asserted, since
-        # it is exact only for the continuous flow
-        left_gap = float(
-            np.linalg.norm(state.scaling.left - np.eye(frame.d), 2)
-        )
-        right_gap = float(np.max(np.abs(state.scaling.right - 1.0)))
-        bound = {
-            "left_gap": left_gap,
-            "left_bound": math.expm1(state.int_isotropy_op),
-            "left_holds": left_gap <= math.expm1(state.int_isotropy_op) + 1e-12,
-            "right_gap": right_gap,
-            "right_bound": math.expm1(state.int_norm_op),
-            "right_holds": right_gap <= math.expm1(state.int_norm_op) + 1e-12,
-        }
+        if observe is not None:
+            observe(iters, state.time, rep, state.int_isotropy_op, state.int_norm_op)
+    # accumulation bound: ||prod_k (I - h_k E_k) - I|| <= prod_k (1 + h_k ||E_k||) - 1
+    # <= expm1(sum_k h_k ||E_k||), so it holds for the discrete integrator at
+    # any size, and likewise entrywise for the right scaling
+    left_gap = float(np.linalg.norm(state.scaling.left - np.eye(frame.d), 2))
+    right_gap = float(np.max(np.abs(state.scaling.right - 1.0)))
+    bound = {
+        "left_gap": left_gap,
+        "left_bound": math.expm1(state.int_isotropy_op),
+        "left_holds": left_gap <= math.expm1(state.int_isotropy_op) + 1e-12,
+        "right_gap": right_gap,
+        "right_bound": math.expm1(state.int_norm_op),
+        "right_holds": right_gap <= math.expm1(state.int_norm_op) + 1e-12,
+    }
     return ScalingResult(
         scaling=state.scaling,
         frame=state.frame,
@@ -403,28 +348,8 @@ def _solve_flow(frame, config, ratio):
         iterations=iters,
         final_ratio=ratio,
         method="flow",
-        checkpoints=checkpoints,
-        int_isotropy_op=state.int_isotropy_op,
-        int_norm_op=state.int_norm_op,
         scaling_bound=bound,
         failure=failure,
-    )
-
-
-def checkpoint_row(time, rep, int_iso, int_norm) -> "CheckpointRow":
-    """Build a checkpoint row from an error report and accumulated integrals."""
-    return _checkpoint(time, rep, int_iso, int_norm)
-
-
-def _checkpoint(time, rep, int_iso, int_norm):
-    return CheckpointRow(
-        time=time,
-        size=rep.size,
-        op_error_E=rep.op_isotropy,
-        op_error_F=rep.op_norm,
-        delta=rep.l2_error,
-        int_E_op=int_iso,
-        int_F_op=int_norm,
     )
 
 

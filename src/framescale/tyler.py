@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .frame import DegenerateColumnError, column_square_norms, op_norm_symmetric
-from .scaling import ScalingPair, SolverConfig, pd_inv_sqrt, pd_sqrt
+from .scaling import ScalingPair, pd_inv_sqrt, pd_sqrt
 
 __all__ = [
     "ShapePD",
@@ -30,7 +30,6 @@ __all__ = [
     "capacity",
     "relative_op_error",
     "result_to_json",
-    "result_from_json",
 ]
 
 _SYMMETRY_RTOL = 1e-12
@@ -90,9 +89,6 @@ class EstimatorResult:
     residual: float
     iterations: int
     converged: bool
-    capacity_trace: list = field(default_factory=list)
-    residual_trace: list = field(default_factory=list)
-    iterates: list | None = None
 
 
 def _check_columns(data):
@@ -122,30 +118,32 @@ def tyler_fixed_point_residual(data, sigma: ShapePD) -> float:
     return float(np.linalg.norm(lhs - sigma.matrix))
 
 
-def tyler_iterate(data, config: SolverConfig | None = None, tol: float | None = None,
-                  keep_iterates: bool = False, initial: ShapePD | None = None
-                  ) -> EstimatorResult:
+def tyler_iterate(data, tol: float = 1e-10, max_iters: int | None = None,
+                  initial: ShapePD | None = None, observe=None) -> EstimatorResult:
     """Run the reweighting iteration for Tyler's estimator.
 
     Starts from the identity (or ``initial``), trace-renormalizes every
-    iterate, and stops once the fixed-point residual reaches the tolerance.
-    When no config is given the tolerance defaults to 1e-10 and the
-    iteration budget tracks 10 * (d + |log det S_t| + 60), re-evaluated at
-    the current iterate.  Non-existence of the estimator (degenerate or
-    rank-deficient data) surfaces as converged=False with the best iterate,
-    never as a crash.
+    iterate, and stops once the fixed-point residual reaches ``tol``.
+    Without ``max_iters`` the iteration budget tracks
+    10 * (d + |log det S_t| + 60), re-evaluated at the current iterate.
+    Non-existence of the estimator (degenerate or rank-deficient data)
+    surfaces as converged=False with the best iterate, never as a crash.
+
+    ``observe(iteration, sigma, capacity, residual)``, when given, is called
+    once per evaluated iterate S_t, t = 0, 1, ..., with its capacity and
+    fixed-point residual; a converged run makes iterations + 1 calls.  The
+    iterate array is never modified afterwards, and the observer must not
+    modify it either.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_iters is not None and max_iters < 1:
+        raise ValueError(f"max_iters must be positive, got {max_iters}")
     data = _check_columns(data)
     d, n = data.shape
-    if tol is None:
-        tol = config.tol if config is not None else 1e-10
-    fixed_budget = config.max_iters if config is not None else None
 
     sigma = np.array(initial.matrix if initial is not None else np.eye(d))
     last_pd = sigma.copy()
-    capacity_trace = []
-    residual_trace = []
-    iterates = [sigma.copy()] if keep_iterates else None
     residual = math.inf
     iters = 0
     converged = False
@@ -160,14 +158,15 @@ def tyler_iterate(data, config: SolverConfig | None = None, tol: float | None = 
         if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
             break
         logdet = float(np.sum(np.log(w)))
-        capacity_trace.append((d / n) * float(np.sum(np.log(weights))) + logdet)
         raw = (data / weights) @ data.T
         residual = float(np.linalg.norm((d / n) * raw - sigma))
-        residual_trace.append(residual)
+        if observe is not None:
+            cap = (d / n) * float(np.sum(np.log(weights))) + logdet
+            observe(iters, sigma, cap, residual)
         if iters >= 1 and residual <= tol:
             converged = True
             break
-        budget = fixed_budget
+        budget = max_iters
         if budget is None:
             budget = int(math.ceil(10.0 * (d + abs(logdet) + 60.0)))
         if iters >= budget:
@@ -178,16 +177,11 @@ def tyler_iterate(data, config: SolverConfig | None = None, tol: float | None = 
         sigma = d * raw / trace
         sigma = 0.5 * (sigma + sigma.T)
         iters += 1
-        if keep_iterates:
-            iterates.append(sigma.copy())
     return EstimatorResult(
         sigma_hat=ShapePD(sigma),
         residual=residual,
         iterations=iters,
         converged=converged,
-        capacity_trace=capacity_trace,
-        residual_trace=residual_trace,
-        iterates=iterates,
     )
 
 
@@ -257,27 +251,14 @@ def relative_op_error(sigma, sigma_hat) -> float:
     return op_norm_symmetric(gap)
 
 
-def result_to_json(result: EstimatorResult) -> str:
-    """Serialize an estimate result to the JSON interchange format."""
+def result_to_json(result: EstimatorResult, capacity_trace) -> str:
+    """Serialize an estimate result and its capacity trace to JSON."""
     payload = {
         "d": result.sigma_hat.d,
         "sigma_hat": [float(f"{x:.17g}") for x in result.sigma_hat.matrix.ravel()],
         "residual": float(f"{result.residual:.17g}"),
         "iterations": result.iterations,
         "converged": result.converged,
-        "capacity_trace": [float(f"{x:.17g}") for x in result.capacity_trace],
+        "capacity_trace": [float(f"{x:.17g}") for x in capacity_trace],
     }
     return json.dumps(payload, indent=2)
-
-
-def result_from_json(text: str) -> EstimatorResult:
-    payload = json.loads(text)
-    d = int(payload["d"])
-    matrix = np.array(payload["sigma_hat"], dtype=float).reshape(d, d)
-    return EstimatorResult(
-        sigma_hat=ShapePD(matrix),
-        residual=float(payload["residual"]),
-        iterations=int(payload["iterations"]),
-        converged=bool(payload["converged"]),
-        capacity_trace=[float(x) for x in payload["capacity_trace"]],
-    )

@@ -148,7 +148,7 @@ def test_criterion_05_size_monotonicity():
             rep = error_report(state.frame)
             if rep.op_error <= config.tol * rep.size:
                 break
-            state = gradient_flow_step(state, config)
+            state = gradient_flow_step(state)
             current = size(state.frame)
             worst_rise = max(worst_rise, current - prev)
             prev = current

@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from framescale import Frame, save_matrix_text
+from framescale import (
+    FlowState,
+    Frame,
+    SeedSpec,
+    gradient_flow_step,
+    load_frame,
+    sample_sphere_frame,
+    save_matrix_text,
+)
 from framescale.cli import main
 
 
@@ -14,6 +22,13 @@ def frame_file(tmp_path):
         [[1.0, 0.0, 2.0**-0.5], [0.0, 1.0, 2.0**-0.5]]
     )
     save_matrix_text(path, Frame(save_matrixes))
+    return str(path)
+
+
+@pytest.fixture
+def sphere_file(tmp_path):
+    path = tmp_path / "sphere.txt"
+    save_matrix_text(path, sample_sphere_frame(4, 16, SeedSpec(5, 0)))
     return str(path)
 
 
@@ -34,6 +49,21 @@ class TestEstimate:
         assert payload["d"] == 2
         assert len(payload["sigma_hat"]) == 4
         assert payload["capacity_trace"]
+
+    def test_capacity_trace_has_every_iterate(self, sphere_file, tmp_path):
+        out = tmp_path / "est.json"
+        assert main(["estimate", "--input", sphere_file, "--json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        trace = payload["capacity_trace"]
+        assert payload["converged"] is True
+        assert len(trace) == payload["iterations"] + 1
+        # non-increasing up to round-off near the fixed point
+        assert all(later <= earlier + 1e-10 for earlier, later in zip(trace, trace[1:]))
+
+    @pytest.mark.parametrize("flag", [["--tol", "-1"], ["--tol", "0"],
+                                      ["--tol", "nan"], ["--max-iters", "0"]])
+    def test_bad_stopping_rule_is_config_error(self, frame_file, flag):
+        assert main(["estimate", "--input", frame_file, *flag]) == 2
 
     def test_accepts_data_variant(self, data_file, tmp_path):
         out = tmp_path / "est.json"
@@ -62,6 +92,34 @@ class TestScale:
         payload = json.loads(out.read_text())
         assert payload["converged"] is True
         assert len(payload["right"]) == 2
+
+    @pytest.mark.parametrize("method", ["flipflop", "flow"])
+    def test_trajectory_row_every_ten_steps(self, sphere_file, tmp_path, method):
+        csv = tmp_path / "traj.csv"
+        out = tmp_path / "scale.json"
+        assert main(["scale", "--input", sphere_file, "--method", method,
+                     "--csv", str(csv), "--json", str(out)]) == 0
+        iterations = json.loads(out.read_text())["iterations"]
+        rows = [[float(v) for v in line.split(",")]
+                for line in csv.read_text().splitlines()[1:]]
+        assert iterations >= 10
+        assert len(rows) == iterations // 10 + 1
+        if method == "flipflop":
+            rounds = [10.0 * k for k in range(1, iterations // 10 + 1)]
+            assert [r[0] for r in rows] == rounds + [float(iterations)]
+
+    def test_flow_trajectory_ends_at_flow_time(self, sphere_file, tmp_path):
+        csv = tmp_path / "traj.csv"
+        out = tmp_path / "scale.json"
+        assert main(["scale", "--input", sphere_file, "--method", "flow",
+                     "--csv", str(csv), "--json", str(out)]) == 0
+        iterations = json.loads(out.read_text())["iterations"]
+        state = FlowState.start(load_frame(sphere_file))
+        for _ in range(iterations):
+            state = gradient_flow_step(state)
+        last = [float(v) for v in csv.read_text().splitlines()[-1].split(",")]
+        assert last[0] == state.time
+        assert last[5:] == [state.int_isotropy_op, state.int_norm_op]
 
     def test_non_spanning_input_is_config_error(self, tmp_path):
         path = tmp_path / "flat.txt"

@@ -89,13 +89,13 @@ class TestFlipFlopStep:
 class TestGradientFlowStep:
     def test_balanced_fixed_point(self):
         state = FlowState.start(Frame(np.eye(3) / math.sqrt(3.0)))
-        nxt = gradient_flow_step(state, SolverConfig())
+        nxt = gradient_flow_step(state)
         assert np.allclose(nxt.frame.entries, state.frame.entries, atol=1e-15)
         assert nxt.time > 0
 
     def test_two_heavy_explicit_update(self):
         state = FlowState.start(Frame(TWO_HEAVY))
-        nxt = gradient_flow_step(state, SolverConfig(), dt=0.01)
+        nxt = gradient_flow_step(state, dt=0.01)
         expected = np.array([[0.99, 0.99, 0.0], [0.0, 0.0, 1.01]])
         assert np.allclose(nxt.frame.entries, expected, atol=1e-15)
         assert np.allclose(nxt.scaling.left, np.diag([0.99, 1.01]), atol=1e-15)
@@ -109,21 +109,20 @@ class TestGradientFlowStep:
         ):
             state = FlowState.start(frame)
             h = 1e-6
-            nxt = gradient_flow_step(state, SolverConfig(), dt=h)
+            nxt = gradient_flow_step(state, dt=h)
             rate = (size(nxt.frame) - size(frame)) / h
             rep = error_report(frame)
             assert rate == pytest.approx(-2.0 * rep.l2_error, rel=1e-3)
 
     def test_reconstruction_invariant_along_trajectory(self):
         state = FlowState.start(sample_sphere_frame(3, 12, SeedSpec(1, 2)))
-        config = SolverConfig()
         for _ in range(200):
-            state = gradient_flow_step(state, config)
+            state = gradient_flow_step(state)
         assert state.reconstruction_error() <= 1e-8
 
     def test_integrals_accumulate(self):
         state = FlowState.start(Frame(TWO_HEAVY))
-        nxt = gradient_flow_step(state, SolverConfig(), dt=0.01)
+        nxt = gradient_flow_step(state, dt=0.01)
         assert nxt.int_isotropy_op == pytest.approx(0.01 * 1.0, rel=1e-12)
         assert nxt.int_norm_op == 0.0
 
@@ -147,7 +146,7 @@ class TestDecompositionCount:
         state = FlowState.start(sample_sphere_frame(16, 64, SeedSpec(0, 1)))
         known = error_report(state.frame)
         counts = _count_decompositions(monkeypatch)
-        new = gradient_flow_step(state, SolverConfig())
+        new = gradient_flow_step(state)
         # the step reads the known report, the solver then reports the new
         # frame once, and every later request is served from the frame
         assert error_report(state.frame) is known
@@ -219,9 +218,40 @@ class TestSolveScaling:
 
     def test_flipflop_round_ratios_logged(self):
         frame = sample_sphere_frame(3, 9, SeedSpec(2, 3))
-        result = solve_scaling(frame, SolverConfig(tol=1e-9))
-        assert len(result.round_ratios) == result.iterations + 1
-        assert result.round_ratios[-1] <= 1e-9
+        rep = error_report(frame)
+        round_ratios = [rep.op_error / rep.size]
+        result = solve_scaling(
+            frame, SolverConfig(tol=1e-9),
+            observe=lambda k, t, rep, *_: round_ratios.append(rep.op_error / rep.size),
+        )
+        assert len(round_ratios) == result.iterations + 1
+        assert round_ratios[-1] <= 1e-9
+
+    @pytest.mark.parametrize("method", ["flipflop", "flow"])
+    def test_observer_called_once_per_step(self, method):
+        frame = sample_sphere_frame(4, 16, SeedSpec(2, 5))
+        seen = []
+        result = solve_scaling(frame, SolverConfig(tol=1e-9), method=method,
+                               observe=lambda *point: seen.append(point))
+        assert result.iterations > 0
+        assert [p[0] for p in seen] == list(range(1, result.iterations + 1))
+        # the last report is that of the returned frame, served from its memo
+        assert seen[-1][2] is error_report(result.frame)
+        assert seen[-1][2].op_error / seen[-1][2].size == result.final_ratio
+        if method == "flipflop":
+            assert [p[1] for p in seen] == [float(k) for k, *_ in seen]
+            assert all(p[3] == p[4] == 0.0 for p in seen)
+        else:
+            times = [p[1] for p in seen]
+            assert all(b > a for a, b in zip(times, times[1:]))
+
+    def test_no_observer_call_when_already_balanced(self):
+        seen = []
+        result = solve_scaling(mercedes(), SolverConfig(tol=1e-10), method="flow",
+                               observe=lambda *point: seen.append(point))
+        assert result.converged and result.iterations == 0
+        assert seen == []
+        assert result.scaling_bound["left_holds"] and result.scaling_bound["right_holds"]
 
     def test_flow_reports_accumulation_bound(self):
         frame = sample_sphere_frame(4, 16, SeedSpec(2, 4))
@@ -233,13 +263,25 @@ class TestSolveScaling:
         assert set(bound) >= {"left_gap", "left_bound", "left_holds",
                               "right_gap", "right_bound", "right_holds"}
 
+    @pytest.mark.parametrize("s0", [1e-3, 0.2, 5.0, 40.0])
+    def test_flow_bound_holds_at_any_size(self, s0):
+        # the bound is about the trajectory, converged or not; the budget
+        # keeps the slow small-size flow short
+        frame = sample_sphere_frame(4, 16, SeedSpec(2, 4))
+        frame = frame.scaled(math.sqrt(s0 / size(frame)))
+        result = solve_scaling(frame, SolverConfig(tol=1e-9, max_iters=2000),
+                               method="flow")
+        assert result.iterations > 0
+        bound = result.scaling_bound
+        assert bound["left_holds"] and bound["right_holds"]
+        assert bound["left_gap"] > 0.0 and bound["right_gap"] > 0.0
+
     def test_monotone_size_decay(self):
-        config = SolverConfig(tol=1e-9)
         for stream in range(5):
             state = FlowState.start(sample_sphere_frame(3, 9, SeedSpec(3, stream)))
             prev = size(state.frame)
             for _ in range(500):
-                state = gradient_flow_step(state, config)
+                state = gradient_flow_step(state)
                 current = size(state.frame)
                 assert current <= prev + 1e-12
                 prev = current

@@ -24,13 +24,18 @@ from framescale import (
     tyler_iterate,
 )
 from framescale import tyler as tyler_module
-from framescale.tyler import _quadratic_forms, result_from_json, result_to_json
+from framescale.tyler import _quadratic_forms
 
 from _oracles import damped_tyler
 
 THREE_COLS = np.array(
     [[1.0, 0.0, 1.0 / math.sqrt(2.0)], [0.0, 1.0, 1.0 / math.sqrt(2.0)]]
 )
+
+
+def _keep_iterates(store):
+    """Observer that keeps every evaluated iterate."""
+    return lambda t, sigma, cap, res: store.append(sigma)
 
 
 class TestShapePD:
@@ -104,10 +109,12 @@ class TestTylerIterate:
     def test_scalar_invariance_of_iterates(self, stream):
         frame = sample_sphere_frame(3, 9, SeedSpec(50, stream))
         scales = np.random.default_rng(stream).uniform(0.2, 5.0, size=9)
-        plain = tyler_iterate(frame.entries, keep_iterates=True)
-        scaled = tyler_iterate(frame.entries * scales, keep_iterates=True)
+        plain_iterates, scaled_iterates = [], []
+        plain = tyler_iterate(frame.entries, observe=_keep_iterates(plain_iterates))
+        scaled = tyler_iterate(frame.entries * scales,
+                               observe=_keep_iterates(scaled_iterates))
         assert plain.iterations == scaled.iterations
-        for a, b in zip(plain.iterates, scaled.iterates):
+        for a, b in zip(plain_iterates, scaled_iterates):
             assert np.allclose(a, b, atol=1e-12)
 
     def test_matches_damped_oracle(self):
@@ -128,8 +135,9 @@ class TestTylerIterate:
 
     def test_capacity_descent(self):
         frame = sample_sphere_frame(4, 16, SeedSpec(51, 1))
-        result = tyler_iterate(frame.entries, tol=1e-12)
-        trace = result.capacity_trace
+        trace = []
+        tyler_iterate(frame.entries, tol=1e-12,
+                      observe=lambda t, sigma, cap, res: trace.append(cap))
         assert len(trace) >= 2
         for earlier, later in zip(trace, trace[1:]):
             assert later <= earlier + 1e-10
@@ -137,11 +145,13 @@ class TestTylerIterate:
     def test_linear_tail_contraction(self):
         # n = 4d; per-step gap ratio over the last 20 recorded iterations
         frame = sample_sphere_frame(4, 16, SeedSpec(51, 2))
-        result = tyler_iterate(frame.entries, tol=1e-12, keep_iterates=True)
+        iterates = []
+        result = tyler_iterate(frame.entries, tol=1e-12,
+                               observe=_keep_iterates(iterates))
         refined = tyler_iterate(frame.entries, tol=1e-14,
                                 initial=result.sigma_hat)
         limit = refined.sigma_hat.matrix
-        gaps = [np.linalg.norm(it - limit) for it in result.iterates]
+        gaps = [np.linalg.norm(it - limit) for it in iterates]
         gaps = [g for g in gaps if g > 1e-13]
         window = gaps[-21:]
         ratio = (window[-1] / window[0]) ** (1.0 / (len(window) - 1))
@@ -160,12 +170,37 @@ class TestTylerIterate:
         result = tyler_iterate(data)
         assert not result.converged
 
-    def test_respects_solver_config_budget(self):
+    def test_respects_max_iters_budget(self):
         frame = sample_sphere_frame(3, 9, SeedSpec(51, 3))
-        config = SolverConfig(tol=1e-30, max_iters=5)
-        result = tyler_iterate(frame.entries, config=config)
+        result = tyler_iterate(frame.entries, tol=1e-30, max_iters=5)
         assert not result.converged
         assert result.iterations == 5
+
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": -1.0}, {"tol": 0.0}, {"tol": math.nan}, {"max_iters": 0},
+        {"max_iters": -3},
+    ])
+    def test_rejects_bad_stopping_rule(self, kwargs):
+        with pytest.raises(ValueError):
+            tyler_iterate(THREE_COLS, **kwargs)
+
+    def test_observer_sees_every_evaluated_iterate(self):
+        frame = sample_sphere_frame(4, 16, SeedSpec(51, 4))
+        seen = []
+        result = tyler_iterate(frame.entries, observe=lambda *p: seen.append(p))
+        assert result.converged
+        assert len(seen) == result.iterations + 1
+        assert [p[0] for p in seen] == list(range(result.iterations + 1))
+        assert np.array_equal(seen[0][1], np.eye(4))
+        # the last evaluated iterate is the estimate, with its residual
+        assert np.allclose(seen[-1][1], result.sigma_hat.matrix, rtol=0, atol=1e-15)
+        assert seen[-1][3] == result.residual
+        for t, sigma, cap, res in seen:
+            assert cap == pytest.approx(capacity(frame.entries, np.linalg.inv(sigma)),
+                                        rel=1e-10, abs=1e-12)
+            assert res == pytest.approx(
+                tyler_fixed_point_residual(frame.entries, ShapePD(sigma)),
+                rel=1e-6, abs=1e-14)
 
 
 class TestEstimatorScalingCorrespondence:
@@ -265,15 +300,3 @@ class TestRelativeOpError:
             lin @ sigma_hat.matrix @ lin.T,
         )
         assert moved == pytest.approx(base, abs=1e-10)
-
-
-class TestResultJson:
-    def test_round_trip(self):
-        result = tyler_iterate(THREE_COLS, tol=1e-12)
-        text = result_to_json(result)
-        back = result_from_json(text)
-        assert back.converged == result.converged
-        assert back.iterations == result.iterations
-        assert np.allclose(back.sigma_hat.matrix, result.sigma_hat.matrix,
-                           rtol=0, atol=0)
-        assert back.capacity_trace == pytest.approx(result.capacity_trace)
