@@ -182,6 +182,22 @@ def column_square_norms(entries: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", entries, entries)
 
 
+def _defects(mat: np.ndarray):
+    """Size, isotropy defect, norm defect and l2 defect of a d x n matrix.
+
+    Built from the d x d Gram matrix and the column norms with no
+    decomposition, so the balancing flow can test a trial step cheaply.
+    """
+    d, n = mat.shape
+    col_sq = column_square_norms(mat)
+    s = float(col_sq.sum())
+    iso = d * (mat @ mat.T) - s * np.eye(d)
+    iso = 0.5 * (iso + iso.T)
+    norm_err = n * col_sq - s
+    l2 = float(np.sum(iso * iso) / d + np.sum(norm_err * norm_err) / n)
+    return s, iso, norm_err, l2
+
+
 def error_report(frame: Frame) -> ErrorReport:
     """Compute the isotropy and norm defects of a frame.
 
@@ -190,16 +206,14 @@ def error_report(frame: Frame) -> ErrorReport:
     every spectral quantity.  The report is computed once per frame and
     returned again on later calls.
     """
-    if frame._report is not None:
-        return frame._report
-    mat = frame.entries
-    d, n = mat.shape
-    col_sq = column_square_norms(mat)
-    s = float(col_sq.sum())
-    iso = d * (mat @ mat.T) - s * np.eye(d)
-    iso = 0.5 * (iso + iso.T)
-    norm_err = n * col_sq - s
-    l2 = float(np.sum(iso * iso) / d + np.sum(norm_err * norm_err) / n)
+    if frame._report is None:
+        _memoize_report(frame, _defects(frame.entries))
+    return frame._report
+
+
+def _memoize_report(frame: Frame, defects) -> None:
+    """Store the report of a frame whose ``_defects`` are already known."""
+    s, iso, norm_err, l2 = defects
     eigs = _symmetric_eigvalsh(iso)
     op_iso = float(np.max(np.abs(eigs)))
     op_norm = float(np.max(np.abs(norm_err)))
@@ -213,7 +227,6 @@ def error_report(frame: Frame) -> ErrorReport:
         op_norm=op_norm,
         top_isotropy=float(eigs[-1]),
     )
-    return frame._report
 
 
 def is_eps_doubly_balanced(frame: Frame, eps: float) -> bool:

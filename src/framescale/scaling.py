@@ -14,9 +14,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .frame import (
+    _EPS,
+    _TINY,
     DegenerateColumnError,
     Frame,
+    _defects,
     _full_rank_certified,
+    _memoize_report,
     column_square_norms,
     error_report,
 )
@@ -42,9 +46,18 @@ __all__ = [
 # largest eigenvalue.
 _EIG_FLOOR = 1e-14
 _GRAM_MAX_COND = 1e14
+# Flow steps are measured in units of 1/size, which makes every step rule
+# invariant under V -> cV.  A solver's first step, the cap on every
+# controlled step, and the floor below which a step counts as stagnant:
+_FIRST_STEP = 0.05
+_MAX_STEP = 4.0
 _MIN_STEP = 1e-18
-# fraction of the automatic flow step actually taken
-_STEP_SAFETY = 0.5
+# Below this l2_error / size^2 the defects are round-off and no longer
+# decide whether a trial step helped.
+_L2_FLOOR = 1e-28
+# Condition number past which an accumulated left scaling is singular to
+# working precision.
+_MAX_SCALING_COND = 1.0 / _EPS
 
 
 class IllConditionedError(RuntimeError):
@@ -52,7 +65,7 @@ class IllConditionedError(RuntimeError):
 
 
 class StagnationError(RuntimeError):
-    """Flow step size underflowed; the trajectory cannot make progress."""
+    """The flow's step or its frame's size underflowed; it cannot go on."""
 
 
 def _pd_eig(mat):
@@ -140,7 +153,8 @@ class FlowState:
 
     ``int_isotropy_op`` and ``int_norm_op`` accumulate the time integrals of
     the two defect spectral norms, which bound how far the scalings can
-    drift from the identity.
+    drift from the identity.  ``step`` is the last accepted step, from which
+    the step controller proposes the next one.
     """
 
     frame: Frame
@@ -149,6 +163,7 @@ class FlowState:
     int_isotropy_op: float
     int_norm_op: float
     initial: Frame
+    step: float
 
     @classmethod
     def start(cls, frame: Frame) -> "FlowState":
@@ -159,6 +174,8 @@ class FlowState:
             int_isotropy_op=0.0,
             int_norm_op=0.0,
             initial=frame,
+            # half the first step, which the controller doubles
+            step=0.5 * _FIRST_STEP / error_report(frame).size,
         )
 
     def reconstruction_error(self) -> float:
@@ -206,51 +223,79 @@ def flip_flop_step(frame: Frame):
     return Frame(out), ScalingPair(left, right)
 
 
-def _flow_step_size(rep):
-    s = rep.size
-    return _STEP_SAFETY * min(
-        0.1 * s / (rep.op_isotropy + rep.op_norm + 1e-30), 0.1 / s
-    )
-
-
 def gradient_flow_step(state: FlowState, dt=None) -> FlowState:
     """Advance the balancing flow by one first-order step.
 
     The frame update is the multiplicative first-order integrator
     V <- (I - h E) V (I - h F), which agrees with the flow to O(h^2) and
     keeps the accumulated scaling pair an exact factorization of the
-    current frame.  ``dt`` overrides the automatic step size (used by the
+    current frame.
+
+    Without ``dt`` a step controller picks h.  The first trial is twice the
+    state's last accepted step, capped so that both factors stay positive
+    (h <= 0.9 / top eigenvalue) and by ``_MAX_STEP / size``.  A trial is
+    accepted when neither the l2 defect nor the size rises; otherwise h is
+    halved.  Trials are tested on their d x d Gram matrix and column norms,
+    so a rejected trial costs the trial product, its Gram matrix and no
+    decomposition; the accepted trial's defects become the new frame's
+    report.  Once the l2 defect is at round-off level the first trial is
+    taken as it stands.  Every rule is invariant under V -> cV.
+
+    ``dt`` takes one fixed step of that size instead (used by the
     derivative diagnostics and tests).
     """
     rep = error_report(state.frame)
-    h = _flow_step_size(rep)
+    s = rep.size
     mat = state.frame.entries
     d, n = mat.shape
     iso = rep.isotropy_error
     norm_err = rep.norm_error
+    if not s * _EPS > n * d * _TINY:
+        # products of entries are subnormal and the defects lose accuracy
+        raise StagnationError(f"frame size underflowed to {s:.3e}")
+
+    def trial(h):
+        left_factor = np.eye(d) - h * iso
+        right_factor = 1.0 - h * norm_err
+        return left_factor, right_factor, (left_factor @ mat) * right_factor[None, :]
+
+    defects = None
     if dt is not None:
         h = float(dt)
+        if h * s < _MIN_STEP:
+            raise StagnationError(f"flow step underflowed: h*size={h * s:.3e}")
+        left_factor, right_factor, new_mat = trial(h)
     else:
+        h = min(2.0 * state.step, _MAX_STEP / s)
         # keep both multiplicative factors strictly positive
         top = max(rep.top_isotropy, float(np.max(norm_err)), 0.0)
         if top > 0.0:
             h = min(h, 0.9 / top)
-    if h < _MIN_STEP:
-        raise StagnationError(f"flow step underflowed: h={h:.3e}")
-    left_factor = np.eye(d) - h * iso
-    right_factor = 1.0 - h * norm_err
-    new_mat = (left_factor @ mat) * right_factor[None, :]
+        while True:
+            left_factor, right_factor, new_mat = trial(h)
+            if rep.l2_error <= _L2_FLOOR * s * s:
+                break
+            defects = _defects(new_mat)
+            if defects[3] <= rep.l2_error and defects[0] <= s:
+                break
+            h *= 0.5
+            if h * s < _MIN_STEP:
+                raise StagnationError(f"flow step underflowed: h*size={h * s:.3e}")
+    new_frame = Frame(new_mat)
+    if defects is not None:
+        _memoize_report(new_frame, defects)
     new_scaling = ScalingPair(
         left_factor @ state.scaling.left,
         state.scaling.right * right_factor,
     )
     return replace(
         state,
-        frame=Frame(new_mat),
+        frame=new_frame,
         scaling=new_scaling,
         time=state.time + h,
         int_isotropy_op=state.int_isotropy_op + h * rep.op_isotropy,
         int_norm_op=state.int_norm_op + h * rep.op_norm,
+        step=h,
     )
 
 
@@ -258,9 +303,11 @@ def solve_scaling(frame: Frame, config: SolverConfig | None = None,
                   method: str = "flipflop", observe=None) -> ScalingResult:
     """Find scalings (L, R) making L V diag(R) doubly balanced.
 
-    Terminates when op_error / size drops to config.tol.  When the budget
-    runs out, or a step degenerates, the best iterate is returned with
-    converged=False; the scaling problem may genuinely have no solution.
+    Terminates when op_error / size drops to config.tol.  Otherwise the
+    last valid iterate is returned with converged=False, and ``failure``
+    names the cause unless only the budget ran out: a degenerate step, a
+    zero column, or an accumulated scaling that diverged, which is how a
+    frame with no balancing scaling ends.
 
     ``observe(iteration, time, report, int_isotropy_op, int_norm_op)``, when
     given, is called after every step with the step count, the time so far
@@ -279,24 +326,50 @@ def solve_scaling(frame: Frame, config: SolverConfig | None = None,
     return _solve_flow(frame, config, ratio, observe)
 
 
+def _divergence(ratios, count, unit):
+    """Why the accumulated scaling must stop here, or None.
+
+    ``ratios`` holds R_j |v0_j| / |u_j| for the input columns v0_j and the
+    columns u_j of the iterate U = L V0 diag(R).  Each equals
+    |v0_j| / |L v0_j|, which lies between 1/sigma_max(L) and 1/sigma_min(L),
+    so their spread bounds the condition number of L from below with no
+    decomposition.  Past 1/eps, L is singular to working precision: the
+    scalings diverge, as they do on a frame with no balancing scaling.  A
+    spread that is not finite means a scaling over- or underflowed.
+    """
+    with np.errstate(invalid="ignore"):
+        spread = float(np.max(ratios) / np.min(ratios))
+    if spread <= _MAX_SCALING_COND:
+        return None
+    return (f"accumulated scaling diverged after {count} {unit}: the left "
+            f"scaling's condition number is at least {spread:.3e}, past 1/eps; "
+            "the frame likely has no balancing scaling")
+
+
 def _solve_flipflop(frame, config, ratio, observe):
     current = frame
+    input_norms = np.sqrt(column_square_norms(frame.entries))
     left = np.eye(frame.d)
     right = np.ones(frame.n)
     iters = 0
     failure = None
     while ratio > config.tol and iters < config.max_iters:
         try:
-            current, step = flip_flop_step(current)
+            new, step = flip_flop_step(current)
         except (DegenerateColumnError, IllConditionedError) as exc:
             failure = str(exc)
             break
         # fold the size normalization into the left scaling so rounds stay
         # on the s = 1 scale and trajectories are comparable with the flow
-        scale = 1.0 / math.sqrt(float(np.sum(current.entries * current.entries)))
-        current = current.scaled(scale)
-        left = scale * (step.left @ left)
-        right = right * step.right
+        scale = 1.0 / math.sqrt(float(np.sum(new.entries * new.entries)))
+        new = new.scaled(scale)
+        new_left = scale * (step.left @ left)
+        new_right = right * step.right
+        # the rounds leave every column of the iterate with the same norm
+        failure = _divergence(new_right * input_norms, iters + 1, "rounds")
+        if failure is not None:
+            break
+        current, left, right = new, new_left, new_right
         iters += 1
         rep = error_report(current)
         ratio = rep.op_error / rep.size
@@ -315,14 +388,26 @@ def _solve_flipflop(frame, config, ratio, observe):
 
 def _solve_flow(frame, config, ratio, observe):
     state = FlowState.start(frame)
+    input_norms = np.sqrt(column_square_norms(frame.entries))
     iters = 0
     failure = None
-    while ratio > config.tol and iters < config.max_iters:
+    if np.any(input_norms == 0.0):
+        # no scaling gives a zero column the norm of the others
+        failure = str(DegenerateColumnError(int(np.argmin(input_norms))))
+    while failure is None and ratio > config.tol and iters < config.max_iters:
         try:
-            state = gradient_flow_step(state)
-        except StagnationError as exc:
-            failure = str(exc)
+            new = gradient_flow_step(state)
+        except (StagnationError, ValueError) as exc:
+            # the step underflowed, or its iterate or scaling failed validation
+            failure = f"flow step {iters + 1} failed: {exc}"
             break
+        with np.errstate(divide="ignore", over="ignore"):
+            ratios = new.scaling.right * input_norms / np.sqrt(
+                column_square_norms(new.frame.entries))
+        failure = _divergence(ratios, iters + 1, "steps")
+        if failure is not None:
+            break
+        state = new
         iters += 1
         rep = error_report(state.frame)
         ratio = rep.op_error / rep.size

@@ -121,6 +121,17 @@ class TestScale:
         assert last[0] == state.time
         assert last[5:] == [state.int_isotropy_op, state.int_norm_op]
 
+    @pytest.mark.parametrize("method", ["flipflop", "flow"])
+    def test_no_balancing_scaling_is_a_result(self, tmp_path, method):
+        path = tmp_path / "two_heavy.txt"
+        save_matrix_text(path, np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        out = tmp_path / "scale.json"
+        assert main(["scale", "--input", str(path), "--method", method,
+                     "--json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["converged"] is False
+        assert "diverged" in payload["failure"]
+
     def test_non_spanning_input_is_config_error(self, tmp_path):
         path = tmp_path / "flat.txt"
         save_matrix_text(path, np.array([[1.0, 2.0], [0.0, 0.0]]), kind="data")

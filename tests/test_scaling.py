@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from framescale import (
     solve_scaling,
     SeedSpec,
 )
+from framescale import scaling
+from framescale.experiments import diagnostics_battery
 from framescale.scaling import IllConditionedError, pd_inv_sqrt, pd_sqrt
 
 TWO_HEAVY = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -154,6 +158,23 @@ class TestDecompositionCount:
         assert error_report(new.frame) is rep
         assert counts == {"eigvalsh": 1}
 
+    def test_rejected_trials_do_no_decomposition(self, monkeypatch):
+        state = FlowState.start(sample_sphere_frame(4, 16, SeedSpec(2, 0)))
+        start = error_report(state.frame)
+        # a carried step far beyond any the controller would accept
+        state = dataclasses.replace(state, step=1e6 / start.size)
+        trials = []
+        defects = scaling._defects
+        monkeypatch.setattr(scaling, "_defects",
+                            lambda mat: trials.append(1) or defects(mat))
+        counts = _count_decompositions(monkeypatch)
+        new = gradient_flow_step(state)
+        rep = error_report(new.frame)
+        assert len(trials) >= 2
+        assert counts == {"eigvalsh": 1}
+        assert rep.l2_error <= start.l2_error
+        assert rep.size <= start.size
+
     def test_flipflop_round_two_decompositions(self, monkeypatch):
         frame = sample_sphere_frame(16, 64, SeedSpec(0, 1))
         counts = _count_decompositions(monkeypatch)
@@ -265,8 +286,8 @@ class TestSolveScaling:
 
     @pytest.mark.parametrize("s0", [1e-3, 0.2, 5.0, 40.0])
     def test_flow_bound_holds_at_any_size(self, s0):
-        # the bound is about the trajectory, converged or not; the budget
-        # keeps the slow small-size flow short
+        # the bound is about the trajectory, converged or not, so a budget
+        # far below the default is enough to exercise it
         frame = sample_sphere_frame(4, 16, SeedSpec(2, 4))
         frame = frame.scaled(math.sqrt(s0 / size(frame)))
         result = solve_scaling(frame, SolverConfig(tol=1e-9, max_iters=2000),
@@ -275,6 +296,23 @@ class TestSolveScaling:
         bound = result.scaling_bound
         assert bound["left_holds"] and bound["right_holds"]
         assert bound["left_gap"] > 0.0 and bound["right_gap"] > 0.0
+
+    def test_flow_step_count_does_not_depend_on_size(self):
+        frame = sample_sphere_frame(4, 16, SeedSpec(2, 4))
+        steps = []
+        for s0 in (1e-3, 0.2, 1.0, 5.0, 40.0):
+            scaled = frame.scaled(math.sqrt(s0 / size(frame)))
+            result = solve_scaling(scaled, SolverConfig(tol=1e-9), method="flow")
+            assert result.converged, s0
+            steps.append(result.iterations)
+        assert max(steps) <= 1.5 * min(steps), steps
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-10, 1e-11, 1e-12])
+    def test_flow_reaches_deep_tolerances(self, tol):
+        frame = sample_sphere_frame(4, 16, SeedSpec(2, 0))
+        result = solve_scaling(frame, SolverConfig(tol=tol), method="flow")
+        assert result.converged, result.failure
+        assert result.final_ratio <= tol
 
     def test_monotone_size_decay(self):
         for stream in range(5):
@@ -285,6 +323,33 @@ class TestSolveScaling:
                 current = size(state.frame)
                 assert current <= prev + 1e-12
                 prev = current
+
+
+BATTERY = dict(diagnostics_battery(0))
+
+
+class TestNoBalancingScaling:
+    @pytest.mark.parametrize("method", ["flipflop", "flow"])
+    @pytest.mark.parametrize("frame", [
+        BATTERY["two_heavy_one_light"],
+        BATTERY["two_heavy_scaled"],
+        Frame(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])),
+    ], ids=["two_heavy_one_light", "two_heavy_scaled", "zero_column"])
+    def test_ends_as_a_result(self, frame, method):
+        start = time.perf_counter()
+        result = solve_scaling(frame, SolverConfig(), method=method)
+        elapsed = time.perf_counter() - start
+        assert not result.converged
+        assert result.failure is not None
+        assert elapsed < 1.0
+        assert result.iterations < SolverConfig().max_iters
+        assert np.all(np.isfinite(result.scaling.left))
+
+    @pytest.mark.parametrize("method", ["flipflop", "flow"])
+    def test_divergence_is_named(self, method):
+        result = solve_scaling(Frame(TWO_HEAVY), SolverConfig(), method=method)
+        assert "diverged" in result.failure
+        assert result.iterations > 0
 
 
 def _canonicalize(left, right, entries):
