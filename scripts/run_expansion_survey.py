@@ -2,10 +2,13 @@
 """Expansion and pseudorandomness of random sphere frames.
 
 Two sweeps: an exact enumeration at d=4, n=16 (with the identity control
-row) and a sampled survey at d=8, n=64.  Writes both CSVs to results/.
+row) and a sampled survey at d=8, n=64.  Writes both CSVs to results/ and
+prints each sweep's wall time to stderr.
 """
 
 import pathlib
+import sys
+import time
 
 from framescale import ExperimentConfig, run_expansion_survey
 
@@ -20,7 +23,9 @@ def main():
         kind="expansion-survey", d=4, n_grid=(16,), trials=100,
         master_seed=MASTER_SEED, mode="exact",
     )
+    start = time.perf_counter()
     output = run_expansion_survey(exact)
+    print(f"exact sweep: {time.perf_counter() - start:.2f} s", file=sys.stderr)
     path = OUT / "expansion_survey_exact.csv"
     path.write_text(output.csv_text, encoding="utf-8")
     print(f"wrote {path}")
@@ -31,7 +36,9 @@ def main():
         kind="expansion-survey", d=8, n_grid=(64,), trials=100,
         master_seed=MASTER_SEED, mode="sampled", subsets=2000,
     )
+    start = time.perf_counter()
     output = run_expansion_survey(sampled)
+    print(f"sampled sweep: {time.perf_counter() - start:.2f} s", file=sys.stderr)
     path = OUT / "expansion_survey_sampled.csv"
     path.write_text(output.csv_text, encoding="utf-8")
     print(f"wrote {path}")

@@ -11,14 +11,15 @@ Three related notions are certified here for a frame V of size s:
   column-subset Gram matrices of a fixed fraction beta.
 
 Exact certificates enumerate every subset (or reduce to one SVD); sampled
-certificates visit random subsets and are one-sided by construction.  The
-Cheeger-style bottleneck quantity links infinity expansion to quantum
+certificates visit random subsets and are one-sided by construction.  Both
+run on one subset kernel that decomposes only the subsets an LDL^T test
+cannot rule out, with the values and witnesses of decomposing every subset.
+The Cheeger-style bottleneck quantity links infinity expansion to quantum
 expansion for doubly balanced frames.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -59,6 +60,13 @@ CHEEGER_MAX_N = 16
 # exactly-balanced preconditions accept this much relative defect
 BALANCE_RTOL = 1e-8
 _CHUNK = 16384
+# The subset kernel skips a subset only when an LDL^T factorization certifies
+# that its value is worse than the incumbent by this fraction of the frame
+# size, far above the O(n eps s) rounding of the GEMM Grams, the pivots and
+# the eigenvalues of the subsets it does decompose.
+_PRUNE_RTOL = 1e-9
+# rows per block decomposed first, ranked by a Rayleigh bound, to set the incumbent
+_PROBES = 16
 
 
 class UnsupportedConfigError(ValueError):
@@ -156,13 +164,27 @@ class HalvingBound:
 
 
 def _combo_chunks(n, k, chunk=_CHUNK):
-    """Yield lexicographic blocks of all k-subsets of range(n) as index arrays."""
-    combos = itertools.combinations(range(n), k)
-    while True:
-        block = list(itertools.islice(combos, chunk))
-        if not block:
-            return
-        yield np.array(block, dtype=np.intp).reshape(len(block), k)
+    """Yield lexicographic blocks of all k-subsets of range(n) as index arrays.
+
+    Rows come in itertools.combinations order, unranked k searchsorted calls
+    at a time: ``starts[i][b]`` counts the subsets whose i-th element is
+    below b, whatever the elements before it.
+    """
+    total = math.comb(n, k)
+    starts = [
+        np.cumsum([0] + [math.comb(n - b - 1, k - i - 1) for b in range(n)])
+        for i in range(k)
+    ]
+    for first in range(0, total, chunk):
+        rest = np.arange(first, min(first + chunk, total), dtype=np.int64)
+        block = np.empty((rest.size, k), dtype=np.intp)
+        prev = np.full(rest.size, -1)
+        for i, start in enumerate(starts):
+            base = start[prev + 1]
+            prev = np.searchsorted(start, rest + base, side="right") - 1
+            rest -= start[prev] - base
+            block[:, i] = prev
+        yield block
 
 
 def _vertex_op_norms(entries, subsets):
@@ -196,6 +218,125 @@ def _sampled_subsets(n, k, count, gen, chunk=_CHUNK):
             np.tile(np.arange(n), (m, 1))
         yield idx
         remaining -= m
+
+
+def _positive_definite(base, scale, grams):
+    """Rows of a (d, d, m) stack where base + scale * G_B has positive LDL^T pivots.
+
+    Left-looking: column j is built from the finished columns alone, so no
+    trailing block is updated.  A zero, negative or NaN pivot reads False.
+    """
+    d, _, m = grams.shape
+    low = np.empty((d, d, m))  # L, below the diagonal
+    scaled = np.empty((d, d, m))  # L D, on and below the diagonal
+    ok = np.ones(m, dtype=bool)
+    with np.errstate(all="ignore"):
+        for j in range(d):
+            col = (base[j:, j, None] + scale * grams[j:, j]
+                   - np.einsum("ikm,km->im", low[j:, :j], scaled[j, :j]))
+            ok &= col[0] > 0.0
+            scaled[j:, j] = col
+            low[j + 1:, j] = col[1:] / col[0]
+    return ok
+
+
+def _leading(scores, count):
+    """Indices of the ``count`` largest scores (all of them if fewer)."""
+    if scores.size <= count:
+        return np.arange(scores.size)
+    return np.argpartition(scores, -count)[-count:]
+
+
+class _SubsetKernel:
+    """Block-wise subset certificates of one frame, decomposing few subsets.
+
+    Per frame: the (d*d, n) table of outer products v_j v_j^T, so that the
+    Grams G_B of a block are one GEMM against its 0/1 indicator; G = V V^T;
+    and the squared projections (u_i . v_j)^2 of the columns on the
+    eigenvectors u_i of G, so that the Rayleigh quotients u_i^T G_B u_i are
+    another.  Per block, the rows with the best Rayleigh bound are decomposed
+    first to set an incumbent; an LDL^T test then certifies which rows are
+    worse than it by more than the margin, and only the others are
+    decomposed.  Every row decomposed goes through ``_vertex_op_norms`` or
+    ``_subset_gram_extremes`` and keeps its block order, so values, ties and
+    witnesses match decomposing every row.
+    """
+
+    def __init__(self, entries):
+        d, n = entries.shape
+        self.entries = entries
+        self.outer = (entries[:, None, :] * entries[None, :, :]).reshape(d * d, n)
+        self.gram = entries @ entries.T
+        self.evals, vecs = np.linalg.eigh(self.gram)
+        self.proj = (vecs.T @ entries) ** 2
+        self.tol = _PRUNE_RTOL * float(np.trace(self.gram))
+        self.eye = np.eye(d)
+
+    def _block(self, subsets):
+        """Grams G_B as a (d, d, m) stack and their (d, m) Rayleigh quotients."""
+        m = subsets.shape[0]
+        d, n = self.entries.shape
+        ind = np.zeros((m, n))
+        ind[np.arange(m)[:, None], subsets] = 1.0
+        ind = ind.T
+        return (self.outer @ ind).reshape(d, d, m), self.proj @ ind
+
+    def max_vertex_norm(self, blocks):
+        """Largest operator norm of M = G - 2 G_B and the first subset attaining it."""
+        best = -1.0
+        best_subset = None
+        for subsets in blocks:
+            grams, quots = self._block(subsets)
+            probed = np.zeros(subsets.shape[0], dtype=bool)
+            # |u_i^T M u_i| <= ||M||
+            probed[_leading(np.abs(self.evals[:, None] - 2.0 * quots).max(axis=0),
+                            _PROBES)] = True
+            vals = np.full(subsets.shape[0], -np.inf)
+            vals[probed] = _vertex_op_norms(self.entries, subsets[probed])
+            c = max(best, float(vals.max())) - self.tol
+            # ||M|| < c  iff  cI - M = (cI - G) + 2 G_B and cI + M are PD
+            rest = ~probed & ~(
+                _positive_definite(c * self.eye - self.gram, 2.0, grams)
+                & _positive_definite(c * self.eye + self.gram, -2.0, grams))
+            if rest.any():
+                vals[rest] = _vertex_op_norms(self.entries, subsets[rest])
+            i = int(np.argmax(vals))
+            if vals[i] > best:
+                best = float(vals[i])
+                best_subset = np.sort(subsets[i])
+        return best, best_subset
+
+    def gram_extremes(self, blocks):
+        """Smallest and largest lambda(G_B) with the first subsets attaining them."""
+        lo, hi = math.inf, -math.inf
+        lo_subset = hi_subset = None
+        for subsets in blocks:
+            grams, quots = self._block(subsets)
+            probed = np.zeros(subsets.shape[0], dtype=bool)
+            # lambda_min(G_B) <= min_i u_i^T G_B u_i, max_i <= lambda_max(G_B)
+            probed[_leading(-quots.min(axis=0), _PROBES)] = True
+            probed[_leading(quots.max(axis=0), _PROBES)] = True
+            mins = np.full(subsets.shape[0], np.inf)
+            maxs = np.full(subsets.shape[0], -np.inf)
+            mins[probed], maxs[probed] = _subset_gram_extremes(
+                self.entries, subsets[probed])
+            c_lo = min(lo, float(mins.min())) + self.tol
+            c_hi = max(hi, float(maxs.max())) - self.tol
+            rest = ~probed & ~(
+                _positive_definite(-c_lo * self.eye, 1.0, grams)
+                & _positive_definite(c_hi * self.eye, -1.0, grams))
+            if rest.any():
+                mins[rest], maxs[rest] = _subset_gram_extremes(
+                    self.entries, subsets[rest])
+            i = int(np.argmin(mins))
+            if mins[i] < lo:
+                lo = float(mins[i])
+                lo_subset = np.sort(subsets[i])
+            j = int(np.argmax(maxs))
+            if maxs[j] > hi:
+                hi = float(maxs[j])
+                hi_subset = np.sort(subsets[j])
+        return lo, lo_subset, hi, hi_subset
 
 
 def quantum_expansion_exact(frame: Frame) -> QuantumExpansionResult:
@@ -244,16 +385,8 @@ def infty_expansion_exact(frame: Frame) -> InftyExpansionResult:
         )
     s = float(np.sum(entries * entries))
     half = n // 2
-    best = -1.0
-    best_subset = None
-    checked = 0
-    for subsets in _combo_chunks(n, half):
-        sups = _vertex_op_norms(entries, subsets)
-        checked += subsets.shape[0]
-        i = int(np.argmax(sups))
-        if sups[i] > best:
-            best = float(sups[i])
-            best_subset = subsets[i]
+    best, best_subset = _SubsetKernel(entries).max_vertex_norm(
+        _combo_chunks(n, half))
     signs = np.ones(n)
     signs[best_subset] = -1.0
     return InftyExpansionResult(
@@ -261,7 +394,7 @@ def infty_expansion_exact(frame: Frame) -> InftyExpansionResult:
         sup=best,
         mode="exact",
         witness=SubsetProbe(y=signs, subset=tuple(best_subset)),
-        subsets_checked=checked,
+        subsets_checked=math.comb(n, half),
     )
 
 
@@ -279,15 +412,8 @@ def infty_expansion_sampled(frame: Frame, trials: int, seed: SeedSpec
     if trials < 1:
         raise ValueError("trials must be positive")
     s = float(np.sum(entries * entries))
-    gen = seed.generator()
-    best = -1.0
-    best_subset = None
-    for subsets in _sampled_subsets(n, n // 2, trials, gen):
-        sups = _vertex_op_norms(entries, subsets)
-        i = int(np.argmax(sups))
-        if sups[i] > best:
-            best = float(sups[i])
-            best_subset = np.sort(subsets[i])
+    best, best_subset = _SubsetKernel(entries).max_vertex_norm(
+        _sampled_subsets(n, n // 2, trials, seed.generator()))
     signs = np.ones(n)
     signs[best_subset] = -1.0
     return InftyExpansionResult(
@@ -345,20 +471,7 @@ def pseudorandom_check(frame: Frame, beta, mode: str = "exact",
             raise ValueError("trials must be positive")
         blocks = _sampled_subsets(n, k, trials, seed.generator())
         checked = trials
-    lo = math.inf
-    hi = -math.inf
-    lo_subset = None
-    hi_subset = None
-    for subsets in blocks:
-        mins, maxs = _subset_gram_extremes(entries, subsets)
-        i = int(np.argmin(mins))
-        if mins[i] < lo:
-            lo = float(mins[i])
-            lo_subset = np.sort(subsets[i])
-        j = int(np.argmax(maxs))
-        if maxs[j] > hi:
-            hi = float(maxs[j])
-            hi_subset = np.sort(subsets[j])
+    lo, lo_subset, hi, hi_subset = _SubsetKernel(entries).gram_extremes(blocks)
     scale = d / float(frac)
     return PseudorandomResult(
         alpha_min=scale * lo,

@@ -14,6 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from .expansion import (
+    INFTY_EXACT_MAX_N,
+    PSEUDO_EXACT_MAX_SUBSETS,
     infty_expansion_exact,
     infty_expansion_sampled,
     pseudorandom_check,
@@ -322,7 +324,8 @@ def run_expansion_survey(cfg: ExperimentConfig) -> SweepOutput:
                 f"columns, got n={n}"
             )
         if cfg.mode == "exact":
-            if n > 20 or math.comb(n, n // 2) > 2_000_000:
+            if (n > INFTY_EXACT_MAX_N
+                    or math.comb(n, n // 2) > PSEUDO_EXACT_MAX_SUBSETS):
                 raise UnsupportedConfigError(
                     f"exact survey enumeration infeasible at n={n}"
                 )

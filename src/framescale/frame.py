@@ -256,14 +256,18 @@ def _symmetric_eigvalsh(mat) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix entries must be finite")
-    fnorm = float(np.linalg.norm(mat))
-    if fnorm == 0.0:
+    # norms of mat / max|mat_ij|: squared entries below about 1e-154 would
+    # underflow and make a nonzero matrix read as zero
+    peak = float(np.abs(mat).max(initial=0.0))
+    if peak == 0.0:
         return np.zeros(mat.shape[0])
-    asym = float(np.linalg.norm(mat - mat.T))
+    unit = mat / peak
+    fnorm = float(np.linalg.norm(unit))
+    asym = float(np.linalg.norm(unit - unit.T))
     if asym > _SYMMETRY_RTOL * fnorm:
         raise ValueError(
-            f"matrix is not symmetric: asymmetry {asym:.3e} exceeds "
-            f"{_SYMMETRY_RTOL:.0e} * ||M||_F = {_SYMMETRY_RTOL * fnorm:.3e}"
+            f"matrix is not symmetric: asymmetry {asym * peak:.3e} exceeds "
+            f"{_SYMMETRY_RTOL:.0e} * ||M||_F = {_SYMMETRY_RTOL * fnorm * peak:.3e}"
         )
     return np.linalg.eigvalsh(mat)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -26,6 +27,10 @@ from framescale.expansion import (
     BalanceRequiredError,
     SubsetProbe,
     UnsupportedConfigError,
+    _combo_chunks,
+    _sampled_subsets,
+    _subset_gram_extremes,
+    _vertex_op_norms,
 )
 
 from _oracles import (
@@ -420,3 +425,97 @@ class TestReportBuilder:
         assert report.mode == "sampled"
         assert report.cheeger is None  # raw frame is not balanced
         assert report.subsets_checked == 100
+
+
+def _kernel_frames():
+    frames = {
+        f"sphere-{d}x{n}": sample_sphere_frame(d, n, SeedSpec(90, 10 * d + n)).entries
+        for d in (2, 3, 4) for n in (8, 12, 16)
+    }
+    gen = np.random.default_rng(91)
+    direction = gen.standard_normal(3)
+    frames["identity-x4"] = np.hstack([np.eye(4)] * 4)
+    frames["repeated-direction"] = np.column_stack(
+        [direction] * 8 + list(gen.standard_normal((4, 3))))
+    frames["equiangular-x3"] = np.hstack([equiangular4().entries] * 3)
+    return frames
+
+
+KERNEL_FRAMES = _kernel_frames()
+KERNEL_TRIALS = 300
+
+
+def _all_subsets(n, k, mode, stream):
+    """Every subset the certificate visits, in its order, as one block."""
+    if mode == "exact":
+        return np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+    gen = SeedSpec(92, stream).generator()
+    return np.concatenate(list(_sampled_subsets(n, k, KERNEL_TRIALS, gen)))
+
+
+def _full_infty(entries, subsets):
+    """lambda_infty and its witness from decomposing every vertex."""
+    sups = _vertex_op_norms(entries, subsets)
+    i = int(np.argmax(sups))
+    s = float(np.sum(entries * entries))
+    return 1.0 - entries.shape[0] * float(sups[i]) / s, tuple(np.sort(subsets[i]))
+
+
+def _full_pseudo(entries, subsets, beta):
+    """alpha_min, alpha_max and their witnesses from decomposing every subset."""
+    mins, maxs = _subset_gram_extremes(entries, subsets)
+    i, j = int(np.argmin(mins)), int(np.argmax(maxs))
+    scale = entries.shape[0] / float(beta)
+    return (scale * float(mins[i]), scale * float(maxs[j]),
+            tuple(np.sort(subsets[i])), tuple(np.sort(subsets[j])))
+
+
+class TestSubsetKernel:
+    def test_combo_chunks_match_itertools(self):
+        for n in range(0, 11):
+            for k in range(0, n + 1):
+                blocks = list(_combo_chunks(n, k, chunk=7))
+                assert all(0 < b.shape[0] <= 7 and b.shape[1] == k for b in blocks)
+                rows = [tuple(int(j) for j in row) for b in blocks for row in b]
+                assert rows == list(itertools.combinations(range(n), k)), (n, k)
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @pytest.mark.parametrize("name", sorted(KERNEL_FRAMES))
+    def test_pruned_equals_full_evaluation(self, name, mode):
+        entries = KERNEL_FRAMES[name]
+        frame = Frame(entries)
+        n = frame.n
+        if mode == "exact":
+            infty = infty_expansion_exact(frame)
+        else:
+            infty = infty_expansion_sampled(frame, KERNEL_TRIALS, SeedSpec(92, 0))
+        assert (infty.lam, infty.witness.subset) == _full_infty(
+            entries, _all_subsets(n, n // 2, mode, 0))
+        for stream, beta in enumerate((Fraction(1, 4), Fraction(1, 2)), start=1):
+            if mode == "exact":
+                pseudo = pseudorandom_check(frame, beta)
+            else:
+                pseudo = pseudorandom_check(frame, beta, mode="sampled",
+                                            trials=KERNEL_TRIALS,
+                                            seed=SeedSpec(92, stream))
+            got = (pseudo.alpha_min, pseudo.alpha_max,
+                   pseudo.witness_min.subset, pseudo.witness_max.subset)
+            assert got == _full_pseudo(
+                entries, _all_subsets(n, int(beta * n), mode, stream), beta)
+
+    def test_exact_certificates_decompose_few_matrices(self, monkeypatch):
+        frame = sample_sphere_frame(4, 16, SeedSpec(93, 0))
+        matrices = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _original=original, **kwargs):
+                matrices.append(math.prod(np.shape(a)[:-2]))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        infty_expansion_exact(frame)
+        pseudorandom_check(frame, Fraction(1, 4))
+        pseudorandom_check(frame, Fraction(1, 2))
+        # decomposing every subset takes C(16,8) + C(16,4) + C(16,8) = 27,560
+        assert sum(matrices) <= 1000

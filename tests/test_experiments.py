@@ -7,13 +7,16 @@ from scipy import stats
 from framescale import (
     ExperimentConfig,
     RadialLaw,
+    SeedSpec,
     ShapeSpec,
+    infty_expansion_exact,
     run_convergence,
     run_diagnostics,
     run_expansion_survey,
     run_sample_complexity,
+    sample_sphere_frame,
 )
-from framescale.expansion import UnsupportedConfigError
+from framescale.expansion import INFTY_EXACT_MAX_N, UnsupportedConfigError
 
 
 def sc_config(**overrides):
@@ -173,6 +176,23 @@ class TestExpansionSurvey:
                                trials=1, master_seed=2, mode="exact")
         with pytest.raises(UnsupportedConfigError):
             run_expansion_survey(cfg)
+
+    def test_exact_limit_matches_infty_expansion(self):
+        # the survey and the certificate it calls reject the same n
+        def rejects(call):
+            try:
+                call()
+            except UnsupportedConfigError:
+                return True
+            return False
+
+        for n in (INFTY_EXACT_MAX_N, INFTY_EXACT_MAX_N + 4):
+            cfg = ExperimentConfig(kind="expansion-survey", d=4, n_grid=(n,),
+                                   trials=1, master_seed=2, mode="exact")
+            frame = sample_sphere_frame(4, n, SeedSpec(2, 0))
+            assert rejects(lambda: run_expansion_survey(cfg)) \
+                == rejects(lambda: infty_expansion_exact(frame)) \
+                == (n > INFTY_EXACT_MAX_N)
 
     def test_deterministic(self):
         cfg = ExperimentConfig(kind="expansion-survey", d=4, n_grid=(8,),

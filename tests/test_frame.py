@@ -10,11 +10,13 @@ from framescale import (
     FrameError,
     NonSpanningError,
     ScalingPair,
+    SeedSpec,
     error_report,
     is_eps_doubly_balanced,
     load_frame,
     op_norm_symmetric,
     read_matrix_text,
+    sample_sphere_frame,
     save_matrix_text,
     size,
 )
@@ -235,6 +237,17 @@ class TestErrorReport:
         assert np.allclose(rep_q.norm_error, rep.norm_error,
                            atol=1e-10 * max(rep.size, 1.0))
         assert rep_q.op_error == pytest.approx(rep.op_error, rel=1e-9, abs=1e-10)
+
+
+    @pytest.mark.parametrize("tiny", [1e-200, 1e-300])
+    def test_tiny_size_keeps_relative_defect(self, tiny):
+        # squares of these entries underflow; the defect must not read as 0
+        frame = sample_sphere_frame(4, 16, SeedSpec(2, 4))
+        frame = frame.scaled(1.0 / math.sqrt(size(frame)))
+        rep = error_report(frame)
+        rep_tiny = error_report(frame.scaled(math.sqrt(tiny)))
+        assert rep_tiny.op_error / rep_tiny.size == pytest.approx(
+            rep.op_error / rep.size, rel=1e-12)
 
 
 class TestEpsBalanced:

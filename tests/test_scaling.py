@@ -307,6 +307,16 @@ class TestSolveScaling:
             steps.append(result.iterations)
         assert max(steps) <= 1.5 * min(steps), steps
 
+    def test_flipflop_rounds_do_not_depend_on_tiny_size(self):
+        frame = sample_sphere_frame(4, 16, SeedSpec(2, 4))
+        frame = frame.scaled(1.0 / math.sqrt(size(frame)))
+        rounds = []
+        for s0 in (1.0, 1e-200, 1e-300):
+            result = solve_scaling(frame.scaled(math.sqrt(s0)), method="flipflop")
+            assert result.converged, s0
+            rounds.append(result.iterations)
+        assert rounds == [49, 49, 49]
+
     @pytest.mark.parametrize("tol", [1e-9, 1e-10, 1e-11, 1e-12])
     def test_flow_reaches_deep_tolerances(self, tol):
         frame = sample_sphere_frame(4, 16, SeedSpec(2, 0))
