@@ -251,8 +251,8 @@ class _SubsetKernel:
     """Block-wise subset certificates of one frame, decomposing few subsets.
 
     Per frame: the (d*d, n) table of outer products v_j v_j^T, so that the
-    Grams G_B of a block are one GEMM against its 0/1 indicator; G = V V^T;
-    and the squared projections (u_i . v_j)^2 of the columns on the
+    Grams G_B of a block are one GEMM against its 0/1 indicator; the frame's
+    G = V V^T; and the squared projections (u_i . v_j)^2 of the columns on the
     eigenvectors u_i of G, so that the Rayleigh quotients u_i^T G_B u_i are
     another.  Per block, the rows with the best Rayleigh bound are decomposed
     first to set an incumbent; an LDL^T test then certifies which rows are
@@ -262,11 +262,12 @@ class _SubsetKernel:
     witnesses match decomposing every row.
     """
 
-    def __init__(self, entries):
+    def __init__(self, frame):
+        entries = frame.entries
         d, n = entries.shape
         self.entries = entries
         self.outer = (entries[:, None, :] * entries[None, :, :]).reshape(d * d, n)
-        self.gram = entries @ entries.T
+        self.gram = frame.gram
         self.evals, vecs = np.linalg.eigh(self.gram)
         self.proj = (vecs.T @ entries) ** 2
         self.tol = _PRUNE_RTOL * float(np.trace(self.gram))
@@ -385,7 +386,7 @@ def infty_expansion_exact(frame: Frame) -> InftyExpansionResult:
         )
     s = float(np.sum(entries * entries))
     half = n // 2
-    best, best_subset = _SubsetKernel(entries).max_vertex_norm(
+    best, best_subset = _SubsetKernel(frame).max_vertex_norm(
         _combo_chunks(n, half))
     signs = np.ones(n)
     signs[best_subset] = -1.0
@@ -412,7 +413,7 @@ def infty_expansion_sampled(frame: Frame, trials: int, seed: SeedSpec
     if trials < 1:
         raise ValueError("trials must be positive")
     s = float(np.sum(entries * entries))
-    best, best_subset = _SubsetKernel(entries).max_vertex_norm(
+    best, best_subset = _SubsetKernel(frame).max_vertex_norm(
         _sampled_subsets(n, n // 2, trials, seed.generator()))
     signs = np.ones(n)
     signs[best_subset] = -1.0
@@ -471,7 +472,7 @@ def pseudorandom_check(frame: Frame, beta, mode: str = "exact",
             raise ValueError("trials must be positive")
         blocks = _sampled_subsets(n, k, trials, seed.generator())
         checked = trials
-    lo, lo_subset, hi, hi_subset = _SubsetKernel(entries).gram_extremes(blocks)
+    lo, lo_subset, hi, hi_subset = _SubsetKernel(frame).gram_extremes(blocks)
     scale = d / float(frac)
     return PseudorandomResult(
         alpha_min=scale * lo,
@@ -545,7 +546,7 @@ def cheeger_constant(frame: Frame) -> CheegerResult:
             f"exact Cheeger enumeration supports n <= {CHEEGER_MAX_N}, got {n}"
         )
     s = rep.size
-    gram = entries @ entries.T
+    gram = frame.gram
     col_sq = column_square_norms(entries)
     best = math.inf
     best_subset = None

@@ -65,10 +65,14 @@ class Frame:
     fails does construction compute the singular values and apply the
     ``1e-12`` test to them, so the verdict is always that of the SVD test.
 
-    The frame's ``error_report`` is computed on first request and kept.
+    The d x d Gram matrix V V^T is formed once, at construction, and kept
+    read-only as ``gram``: the spanning certificate, ``error_report``, the
+    flip-flop round and the expansion certificates all read it, so no
+    consumer forms it again.  The frame's ``error_report`` is computed on
+    first request and kept.
     """
 
-    __slots__ = ("_entries", "_report")
+    __slots__ = ("_entries", "_gram", "_report")
 
     def __init__(self, entries):
         mat = np.array(entries, dtype=float)
@@ -83,7 +87,9 @@ class Frame:
             )
         if not np.all(np.isfinite(mat)):
             raise FrameError("frame entries must all be finite")
-        if not _full_rank_certified(mat):
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = mat @ mat.T
+        if not _full_rank_certified(mat, gram):
             svals = np.linalg.svd(mat, compute_uv=False)
             if svals[0] == 0.0 or svals[-1] <= _SPANNING_RTOL * svals[0]:
                 raise NonSpanningError(
@@ -91,7 +97,9 @@ class Frame:
                     f"{svals[-1]:.3e} vs largest {svals[0]:.3e}"
                 )
         mat.setflags(write=False)
+        gram.setflags(write=False)
         self._entries = mat
+        self._gram = gram
         self._report = None
 
     @property
@@ -107,6 +115,11 @@ class Frame:
         """Read-only d x n entry matrix."""
         return self._entries
 
+    @property
+    def gram(self) -> np.ndarray:
+        """Read-only d x d Gram matrix ``entries @ entries.T``."""
+        return self._gram
+
     def scaled(self, c: float) -> "Frame":
         """Frame with every entry multiplied by the nonzero scalar c."""
         return Frame(self._entries * float(c))
@@ -115,11 +128,12 @@ class Frame:
         return f"Frame(d={self.d}, n={self.n})"
 
 
-def _full_rank_certified(mat: np.ndarray) -> bool:
+def _full_rank_certified(mat: np.ndarray, gram: np.ndarray) -> bool:
     """True when a Cholesky factorization proves sigma_min / sigma_max > 5e-8.
 
-    For the d x n matrix V, forms G = V V^T and s = tr G >= sigma_max^2 and
-    factors G - tau * s * I with tau = 4 (n + d^2 + 2) eps.  The computed
+    For the d x n matrix V and its Gram matrix G = V V^T (``gram``, read
+    and not changed), takes s = tr G >= sigma_max^2 and factors
+    G - tau * s * I with tau = 4 (n + d^2 + 2) eps.  The computed
     Gram matrix is within about n eps s of G in the 2-norm, and a Cholesky
     factorization that completes is exact for a matrix within (d + 1) eps s
     of its input (Higham, Accuracy and Stability of Numerical Algorithms,
@@ -133,15 +147,15 @@ def _full_rank_certified(mat: np.ndarray) -> bool:
     """
     d, n = mat.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = mat @ mat.T
         s = float(np.trace(gram))
     # a subnormal product errs by up to tiny * eps absolutely; above this
     # floor all of them together stay below eps^2 * s
     if not (math.isfinite(s) and s * _EPS > n * d * _TINY):
         return False
-    gram.flat[:: d + 1] -= 4.0 * (n + d * d + 2) * _EPS * s
+    shifted = gram.copy()
+    shifted.flat[:: d + 1] -= 4.0 * (n + d * d + 2) * _EPS * s
     try:
-        np.linalg.cholesky(gram)
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -182,16 +196,17 @@ def column_square_norms(entries: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", entries, entries)
 
 
-def _defects(mat: np.ndarray):
+def _defects(mat: np.ndarray, gram: np.ndarray):
     """Size, isotropy defect, norm defect and l2 defect of a d x n matrix.
 
-    Built from the d x d Gram matrix and the column norms with no
-    decomposition, so the balancing flow can test a trial step cheaply.
+    Built from its d x d Gram matrix ``gram`` = mat @ mat.T and the column
+    norms with no decomposition, so the balancing flow can test a trial
+    step cheaply.
     """
     d, n = mat.shape
     col_sq = column_square_norms(mat)
     s = float(col_sq.sum())
-    iso = d * (mat @ mat.T) - s * np.eye(d)
+    iso = d * gram - s * np.eye(d)
     iso = 0.5 * (iso + iso.T)
     norm_err = n * col_sq - s
     l2 = float(np.sum(iso * iso) / d + np.sum(norm_err * norm_err) / n)
@@ -201,13 +216,14 @@ def _defects(mat: np.ndarray):
 def error_report(frame: Frame) -> ErrorReport:
     """Compute the isotropy and norm defects of a frame.
 
-    The norm defect is derived from column norms alone; the n x n Gram
-    matrix is never formed.  One symmetric eigenvalue decomposition gives
-    every spectral quantity.  The report is computed once per frame and
-    returned again on later calls.
+    The isotropy defect reads the frame's d x d Gram matrix and the norm
+    defect is derived from column norms alone; the n x n Gram matrix is
+    never formed.  One symmetric eigenvalue decomposition gives every
+    spectral quantity.  The report is computed once per frame and returned
+    again on later calls.
     """
     if frame._report is None:
-        _memoize_report(frame, _defects(frame.entries))
+        _memoize_report(frame, _defects(frame.entries, frame.gram))
     return frame._report
 
 

@@ -112,7 +112,9 @@ class ScalingPair:
             raise ValueError("left scaling must be square")
         if not np.all(np.isfinite(left)):
             raise ValueError("left scaling must be finite")
-        if not _full_rank_certified(left):
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = left @ left.T
+        if not _full_rank_certified(left, gram):
             svals = np.linalg.svd(left, compute_uv=False)
             if svals[-1] <= 0.0:
                 raise ValueError("left scaling must be invertible")
@@ -199,28 +201,34 @@ class ScalingResult:
     failure: str | None = None
 
 
-def flip_flop_step(frame: Frame):
+def flip_flop_step(frame: Frame, *, unit_size: bool = False):
     """One full alternating round: make V V^T the identity, then unit columns.
 
-    Returns the new frame and the composite scaling pair of the round.
+    Returns the new frame L V diag(R) and the round's scaling pair (L, R).
+    With ``unit_size=True`` the new frame is rescaled to size 1 before it is
+    built, and the scalar c is returned third: (c L V diag(R), (L, R), c).
+    The round reads the frame's Gram matrix and builds one Frame.
     Raises IllConditionedError when the Gram matrix condition number
     exceeds 1e14 and DegenerateColumnError on a zero column.
     """
-    mat = frame.entries
-    gram = mat @ mat.T
+    gram = frame.gram
     w, u = np.linalg.eigh(0.5 * (gram + gram.T))
     if w[0] <= 0.0 or w[-1] / w[0] > _GRAM_MAX_COND:
         raise IllConditionedError(
             f"Gram matrix condition number exceeds {_GRAM_MAX_COND:.0e}"
         )
     left = (u / np.sqrt(w)) @ u.T
-    iso = left @ mat
+    iso = left @ frame.entries
     col_sq = column_square_norms(iso)
     if np.any(col_sq <= 0.0):
         raise DegenerateColumnError(int(np.argmin(col_sq)))
     right = 1.0 / np.sqrt(col_sq)
     out = iso * right[None, :]
-    return Frame(out), ScalingPair(left, right)
+    if not unit_size:
+        return Frame(out), ScalingPair(left, right)
+    scale = 1.0 / math.sqrt(float(np.sum(out * out)))
+    out *= scale
+    return Frame(out), ScalingPair(left, right), scale
 
 
 def gradient_flow_step(state: FlowState, dt=None) -> FlowState:
@@ -275,7 +283,7 @@ def gradient_flow_step(state: FlowState, dt=None) -> FlowState:
             left_factor, right_factor, new_mat = trial(h)
             if rep.l2_error <= _L2_FLOOR * s * s:
                 break
-            defects = _defects(new_mat)
+            defects = _defects(new_mat, new_mat @ new_mat.T)
             if defects[3] <= rep.l2_error and defects[0] <= s:
                 break
             h *= 0.5
@@ -355,14 +363,12 @@ def _solve_flipflop(frame, config, ratio, observe):
     failure = None
     while ratio > config.tol and iters < config.max_iters:
         try:
-            new, step = flip_flop_step(current)
+            new, step, scale = flip_flop_step(current, unit_size=True)
         except (DegenerateColumnError, IllConditionedError) as exc:
             failure = str(exc)
             break
         # fold the size normalization into the left scaling so rounds stay
         # on the s = 1 scale and trajectories are comparable with the flow
-        scale = 1.0 / math.sqrt(float(np.sum(new.entries * new.entries)))
-        new = new.scaled(scale)
         new_left = scale * (step.left @ left)
         new_right = right * step.right
         # the rounds leave every column of the iterate with the same norm

@@ -19,8 +19,9 @@ from framescale import (
     sample_sphere_frame,
     save_matrix_text,
     size,
+    solve_scaling,
 )
-from framescale.frame import _full_rank_certified
+from framescale.frame import _defects, _full_rank_certified
 
 TWO_HEAVY = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -87,6 +88,16 @@ def _svd_invertible(mat):
     return bool(np.linalg.svd(mat, compute_uv=False)[-1] > 0.0)
 
 
+def _gram(mat):
+    """mat @ mat.T, which overflows to inf at +160 decades as in Frame."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return mat @ mat.T
+
+
+def _certified(mat):
+    return _full_rank_certified(mat, _gram(mat))
+
+
 designed_params = st.tuples(
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=0, max_value=12),
@@ -125,12 +136,65 @@ class TestSpanningCertificate:
     @pytest.mark.parametrize("log_scale", [-160.0, 160.0])
     def test_extreme_scales_reach_the_svd_fallback(self, log_scale):
         mat = _designed_matrix(4, 16, -1.0, log_scale, "none", 0)
-        assert not _full_rank_certified(mat)
-        assert _full_rank_certified(mat * 10.0**-log_scale)
+        assert not _certified(mat)
+        assert _certified(mat * 10.0**-log_scale)
         Frame(mat)
         left = _designed_matrix(4, 4, -1.0, log_scale, "none", 0)
-        assert not _full_rank_certified(left)
+        assert not _certified(left)
         ScalingPair(left, np.ones(1))
+
+
+class TestGram:
+    """A Frame forms V V^T once, at construction, and every consumer reads it."""
+
+    @staticmethod
+    def _assert_gram(frame):
+        # the +160-decade Gram overflows to inf, as a fresh product does
+        assert np.array_equal(frame.gram, _gram(frame.entries))
+        with pytest.raises(ValueError):
+            frame.gram[0, 0] = 1.0
+
+    @given(frame_params)
+    @settings(max_examples=30, deadline=None)
+    def test_gram_is_the_read_only_product(self, params):
+        d, n, seed = params
+        self._assert_gram(random_frame(d, n, seed))
+
+    @pytest.mark.parametrize("log_scale", [-160.0, 160.0])
+    def test_gram_of_frames_on_the_svd_fallback(self, log_scale):
+        mat = _designed_matrix(4, 16, -1.0, log_scale, "none", 0)
+        assert not _certified(mat)
+        self._assert_gram(Frame(mat))
+
+    @pytest.mark.parametrize("c", [0.5, 3.0, 1e-120, 1e120])
+    def test_gram_of_scaled_frames(self, c):
+        self._assert_gram(random_frame(4, 16, 7).scaled(c))
+
+    @given(frame_params)
+    @settings(max_examples=30, deadline=None)
+    def test_report_equals_defects_of_entries(self, params):
+        d, n, seed = params
+        frame = random_frame(d, n, seed)
+        rep = error_report(frame)
+        s, iso, norm_err, l2 = _defects(frame.entries, _gram(frame.entries))
+        assert rep.size == s
+        assert np.array_equal(rep.isotropy_error, iso)
+        assert np.array_equal(rep.norm_error, norm_err)
+        assert rep.l2_error == l2
+
+    def test_flipflop_solve_builds_one_frame_per_round(self, monkeypatch):
+        frame = sample_sphere_frame(16, 64, SeedSpec(0, 1))
+        built = []
+        init = Frame.__init__
+
+        def counted(self, entries):
+            built.append(1)
+            init(self, entries)
+
+        monkeypatch.setattr(Frame, "__init__", counted)
+        result = solve_scaling(frame, method="flipflop")
+        assert result.iterations > 1
+        assert len(built) == result.iterations
 
 
 class TestSize:

@@ -166,7 +166,7 @@ class TestDecompositionCount:
         trials = []
         defects = scaling._defects
         monkeypatch.setattr(scaling, "_defects",
-                            lambda mat: trials.append(1) or defects(mat))
+                            lambda mat, gram: trials.append(1) or defects(mat, gram))
         counts = _count_decompositions(monkeypatch)
         new = gradient_flow_step(state)
         rep = error_report(new.frame)
@@ -336,6 +336,58 @@ class TestSolveScaling:
 
 
 BATTERY = dict(diagnostics_battery(0))
+
+
+def _reference_flipflop(frame, config):
+    """The flip-flop solve built from public steps alone: a round, a rescale
+    of its frame to unit size with ``scaled``, and a report of the result."""
+    rep = error_report(frame)
+    ratio = rep.op_error / rep.size
+    current, left, right = frame, np.eye(frame.d), np.ones(frame.n)
+    iters = 0
+    reports = []
+    while ratio > config.tol and iters < config.max_iters:
+        new, step = flip_flop_step(current)
+        scale = 1.0 / math.sqrt(float(np.sum(new.entries * new.entries)))
+        current = new.scaled(scale)
+        left = scale * (step.left @ left)
+        right = right * step.right
+        iters += 1
+        rep = error_report(current)
+        ratio = rep.op_error / rep.size
+        reports.append(rep)
+    return current, left, right, iters, ratio, reports
+
+
+class TestFlipFlopBitwise:
+    def test_unit_size_step_is_the_rescaled_step(self):
+        frame = sample_sphere_frame(16, 256, SeedSpec(32, 0))
+        new, step = flip_flop_step(frame)
+        unit, unit_step, scale = flip_flop_step(frame, unit_size=True)
+        assert scale == 1.0 / math.sqrt(float(np.sum(new.entries * new.entries)))
+        assert np.array_equal(unit.entries, new.scaled(scale).entries)
+        assert np.array_equal(unit_step.left, step.left)
+        assert np.array_equal(unit_step.right, step.right)
+
+    @pytest.mark.parametrize("d, n", [(4, 16), (16, 256), (64, 256)])
+    def test_solver_matches_public_step_loop(self, d, n):
+        frame = sample_sphere_frame(d, n, SeedSpec(31, d * n))
+        config = SolverConfig(tol=1e-12)
+        seen = []
+        result = solve_scaling(frame, config, method="flipflop",
+                               observe=lambda k, t, rep, *_: seen.append(rep))
+        ref_frame, left, right, iters, ratio, reports = _reference_flipflop(
+            frame, config)
+        assert result.iterations == iters > 0
+        assert result.final_ratio == ratio
+        assert np.array_equal(result.frame.entries, ref_frame.entries)
+        assert np.array_equal(result.scaling.left, left)
+        assert np.array_equal(result.scaling.right, right)
+        assert len(seen) == len(reports)
+        for got, want in zip(seen, reports):
+            for field in dataclasses.fields(want):
+                assert np.array_equal(getattr(got, field.name),
+                                      getattr(want, field.name)), field.name
 
 
 class TestNoBalancingScaling:
