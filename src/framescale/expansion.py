@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -642,23 +642,8 @@ class ExpansionReport:
                 raise ValueError("alpha_min must not exceed alpha_max")
 
     def to_json(self) -> str:
-        payload = {
-            "mode": self.mode,
-            "beta": str(self.beta),
-            "lambda_quantum": self.lambda_quantum,
-            "lambda_infty": self.lambda_infty,
-            "alpha_min": self.alpha_min,
-            "alpha_max": self.alpha_max,
-            "cheeger": self.cheeger,
-            "witness_infty": list(self.witness_infty) if self.witness_infty else None,
-            "witness_alpha_min": list(self.witness_alpha_min)
-            if self.witness_alpha_min else None,
-            "witness_alpha_max": list(self.witness_alpha_max)
-            if self.witness_alpha_max else None,
-            "witness_cheeger": self.witness_cheeger,
-            "subsets_checked": self.subsets_checked,
-            "seed": self.seed,
-        }
+        payload = asdict(self)
+        payload["beta"] = str(self.beta)
         return json.dumps(payload, indent=2)
 
 

@@ -3,7 +3,8 @@
 Two routes to a doubly balanced frame: alternating exact correction of the
 isotropy and equal-norm conditions (flip-flop), and a discretized balancing
 flow that drives both defects to zero simultaneously while accumulating the
-left/right scalings it applies.
+left/right scalings it applies.  Both run through one solver loop; only
+the step differs.
 """
 
 from __future__ import annotations
@@ -151,16 +152,23 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class FlowState:
-    """A point on the balancing-flow trajectory with its accumulated scaling.
+    """A point on a solver trajectory with its accumulated scaling.
+
+    The iterate ``frame`` equals ``left @ V0 * right`` for the input frame
+    V0 (``initial``).  ``left`` and ``right`` are kept as plain arrays and
+    validated only when ``scaling`` is requested: the iterate's own spanning
+    certificate already proves ``left`` invertible, since
+    rank(L V0 diag(R)) <= rank(L).
 
     ``int_isotropy_op`` and ``int_norm_op`` accumulate the time integrals of
-    the two defect spectral norms, which bound how far the scalings can
-    drift from the identity.  ``step`` is the last accepted step, from which
-    the step controller proposes the next one.
+    the two defect spectral norms along the flow, which bound how far the
+    scalings can drift from the identity.  ``step`` is the last accepted
+    flow step, from which the step controller proposes the next one.
     """
 
     frame: Frame
-    scaling: ScalingPair
+    left: np.ndarray
+    right: np.ndarray
     time: float
     int_isotropy_op: float
     int_norm_op: float
@@ -171,14 +179,21 @@ class FlowState:
     def start(cls, frame: Frame) -> "FlowState":
         return cls(
             frame=frame,
-            scaling=ScalingPair.identity(frame.d, frame.n),
+            left=np.eye(frame.d),
+            right=np.ones(frame.n),
             time=0.0,
             int_isotropy_op=0.0,
             int_norm_op=0.0,
             initial=frame,
-            # half the first step, which the controller doubles
-            step=0.5 * _FIRST_STEP / error_report(frame).size,
+            # half the first step, which the controller doubles; the sum is
+            # the size error_report computes, without its decomposition
+            step=0.5 * _FIRST_STEP / float(column_square_norms(frame.entries).sum()),
         )
+
+    @property
+    def scaling(self) -> ScalingPair:
+        """The accumulated scaling as a validated pair."""
+        return ScalingPair(self.left, self.right)
 
     def reconstruction_error(self) -> float:
         """Relative Frobenius gap between the frame and L V0 diag(R)."""
@@ -231,16 +246,30 @@ def flip_flop_step(frame: Frame, *, unit_size: bool = False):
     return Frame(out), ScalingPair(left, right), scale
 
 
-def gradient_flow_step(state: FlowState, dt=None) -> FlowState:
+def _flip_flop_round(state: FlowState) -> FlowState:
+    """One flip-flop round as a solver step; ``time`` counts rounds."""
+    frame, pair, scale = flip_flop_step(state.frame, unit_size=True)
+    # fold the size normalization into the left scaling so rounds stay on
+    # the s = 1 scale and trajectories are comparable with the flow
+    return replace(
+        state,
+        frame=frame,
+        left=scale * (pair.left @ state.left),
+        right=state.right * pair.right,
+        time=state.time + 1.0,
+    )
+
+
+def gradient_flow_step(state: FlowState) -> FlowState:
     """Advance the balancing flow by one first-order step.
 
     The frame update is the multiplicative first-order integrator
     V <- (I - h E) V (I - h F), which agrees with the flow to O(h^2) and
-    keeps the accumulated scaling pair an exact factorization of the
-    current frame.
+    keeps the accumulated scalings an exact factorization of the current
+    frame.
 
-    Without ``dt`` a step controller picks h.  The first trial is twice the
-    state's last accepted step, capped so that both factors stay positive
+    A step controller picks h.  The first trial is twice the state's last
+    accepted step, capped so that both factors stay positive
     (h <= 0.9 / top eigenvalue) and by ``_MAX_STEP / size``.  A trial is
     accepted when neither the l2 defect nor the size rises; otherwise h is
     halved.  Trials are tested on their d x d Gram matrix and column norms,
@@ -248,9 +277,6 @@ def gradient_flow_step(state: FlowState, dt=None) -> FlowState:
     decomposition; the accepted trial's defects become the new frame's
     report.  Once the l2 defect is at round-off level the first trial is
     taken as it stands.  Every rule is invariant under V -> cV.
-
-    ``dt`` takes one fixed step of that size instead (used by the
-    derivative diagnostics and tests).
     """
     rep = error_report(state.frame)
     s = rep.size
@@ -262,44 +288,32 @@ def gradient_flow_step(state: FlowState, dt=None) -> FlowState:
         # products of entries are subnormal and the defects lose accuracy
         raise StagnationError(f"frame size underflowed to {s:.3e}")
 
-    def trial(h):
+    h = min(2.0 * state.step, _MAX_STEP / s)
+    # keep both multiplicative factors strictly positive
+    top = max(rep.top_isotropy, float(np.max(norm_err)), 0.0)
+    if top > 0.0:
+        h = min(h, 0.9 / top)
+    defects = None
+    while True:
         left_factor = np.eye(d) - h * iso
         right_factor = 1.0 - h * norm_err
-        return left_factor, right_factor, (left_factor @ mat) * right_factor[None, :]
-
-    defects = None
-    if dt is not None:
-        h = float(dt)
+        new_mat = (left_factor @ mat) * right_factor[None, :]
+        if rep.l2_error <= _L2_FLOOR * s * s:
+            break
+        defects = _defects(new_mat, new_mat @ new_mat.T)
+        if defects[3] <= rep.l2_error and defects[0] <= s:
+            break
+        h *= 0.5
         if h * s < _MIN_STEP:
             raise StagnationError(f"flow step underflowed: h*size={h * s:.3e}")
-        left_factor, right_factor, new_mat = trial(h)
-    else:
-        h = min(2.0 * state.step, _MAX_STEP / s)
-        # keep both multiplicative factors strictly positive
-        top = max(rep.top_isotropy, float(np.max(norm_err)), 0.0)
-        if top > 0.0:
-            h = min(h, 0.9 / top)
-        while True:
-            left_factor, right_factor, new_mat = trial(h)
-            if rep.l2_error <= _L2_FLOOR * s * s:
-                break
-            defects = _defects(new_mat, new_mat @ new_mat.T)
-            if defects[3] <= rep.l2_error and defects[0] <= s:
-                break
-            h *= 0.5
-            if h * s < _MIN_STEP:
-                raise StagnationError(f"flow step underflowed: h*size={h * s:.3e}")
     new_frame = Frame(new_mat)
     if defects is not None:
         _memoize_report(new_frame, defects)
-    new_scaling = ScalingPair(
-        left_factor @ state.scaling.left,
-        state.scaling.right * right_factor,
-    )
     return replace(
         state,
         frame=new_frame,
-        scaling=new_scaling,
+        left=left_factor @ state.left,
+        right=state.right * right_factor,
         time=state.time + h,
         int_isotropy_op=state.int_isotropy_op + h * rep.op_isotropy,
         int_norm_op=state.int_norm_op + h * rep.op_norm,
@@ -311,11 +325,20 @@ def solve_scaling(frame: Frame, config: SolverConfig | None = None,
                   method: str = "flipflop", observe=None) -> ScalingResult:
     """Find scalings (L, R) making L V diag(R) doubly balanced.
 
-    Terminates when op_error / size drops to config.tol.  Otherwise the
+    Both methods run one loop over a ``FlowState``; the method picks only
+    the step, a flip-flop round or a ``gradient_flow_step``.  The loop
+    terminates when op_error / size drops to config.tol.  Otherwise the
     last valid iterate is returned with converged=False, and ``failure``
-    names the cause unless only the budget ran out: a degenerate step, a
-    zero column, or an accumulated scaling that diverged, which is how a
-    frame with no balancing scaling ends.
+    names the cause unless only the budget ran out:
+
+    - a zero input column, which no scaling can give the norm of the others;
+    - a step that raised (``"<method> step k failed: ..."``): an
+      ill-conditioned Gram matrix, a step or size that underflowed, or an
+      iterate that failed validation;
+    - an accumulated scaling that diverged, which is how a frame with no
+      balancing scaling ends.
+
+    The returned scaling is validated once, here, not on every step.
 
     ``observe(iteration, time, report, int_isotropy_op, int_norm_op)``, when
     given, is called after every step with the step count, the time so far
@@ -325,27 +348,62 @@ def solve_scaling(frame: Frame, config: SolverConfig | None = None,
     """
     if config is None:
         config = SolverConfig()
-    if method not in ("flipflop", "flow"):
+    if method == "flipflop":
+        step, unit = _flip_flop_round, "rounds"
+    elif method == "flow":
+        step, unit = gradient_flow_step, "steps"
+    else:
         raise ValueError(f"method must be 'flipflop' or 'flow', got {method!r}")
     rep = error_report(frame)
     ratio = rep.op_error / rep.size
-    if method == "flipflop":
-        return _solve_flipflop(frame, config, ratio, observe)
-    return _solve_flow(frame, config, ratio, observe)
+    state = FlowState.start(frame)
+    input_norms = np.sqrt(column_square_norms(frame.entries))
+    iters = 0
+    failure = None
+    if ratio > config.tol and np.any(input_norms == 0.0):
+        failure = str(DegenerateColumnError(int(np.argmin(input_norms))))
+    while failure is None and ratio > config.tol and iters < config.max_iters:
+        try:
+            new = step(state)
+        except (ValueError, IllConditionedError, StagnationError) as exc:
+            failure = f"{method} step {iters + 1} failed: {exc}"
+            break
+        rep = error_report(new.frame)
+        failure = _divergence(new, rep, input_norms, iters + 1, unit)
+        if failure is not None:
+            break
+        state = new
+        iters += 1
+        ratio = rep.op_error / rep.size
+        if observe is not None:
+            observe(iters, state.time, rep, state.int_isotropy_op, state.int_norm_op)
+    return ScalingResult(
+        scaling=state.scaling,
+        frame=state.frame,
+        converged=ratio <= config.tol,
+        iterations=iters,
+        final_ratio=ratio,
+        method=method,
+        scaling_bound=_accumulation_bound(state) if method == "flow" else None,
+        failure=failure,
+    )
 
 
-def _divergence(ratios, count, unit):
+def _divergence(state, rep, input_norms, count, unit):
     """Why the accumulated scaling must stop here, or None.
 
-    ``ratios`` holds R_j |v0_j| / |u_j| for the input columns v0_j and the
-    columns u_j of the iterate U = L V0 diag(R).  Each equals
+    Takes R_j |v0_j| / |u_j| for the input columns v0_j and the columns u_j
+    of the iterate U = L V0 diag(R), with |u_j|^2 = (norm_error_j + size) / n
+    read from the iterate's report ``rep``.  Each ratio equals
     |v0_j| / |L v0_j|, which lies between 1/sigma_max(L) and 1/sigma_min(L),
     so their spread bounds the condition number of L from below with no
     decomposition.  Past 1/eps, L is singular to working precision: the
     scalings diverge, as they do on a frame with no balancing scaling.  A
     spread that is not finite means a scaling over- or underflowed.
     """
-    with np.errstate(invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratios = state.right * input_norms / np.sqrt(
+            (rep.norm_error + rep.size) / state.frame.n)
         spread = float(np.max(ratios) / np.min(ratios))
     if spread <= _MAX_SCALING_COND:
         return None
@@ -354,77 +412,16 @@ def _divergence(ratios, count, unit):
             "the frame likely has no balancing scaling")
 
 
-def _solve_flipflop(frame, config, ratio, observe):
-    current = frame
-    input_norms = np.sqrt(column_square_norms(frame.entries))
-    left = np.eye(frame.d)
-    right = np.ones(frame.n)
-    iters = 0
-    failure = None
-    while ratio > config.tol and iters < config.max_iters:
-        try:
-            new, step, scale = flip_flop_step(current, unit_size=True)
-        except (DegenerateColumnError, IllConditionedError) as exc:
-            failure = str(exc)
-            break
-        # fold the size normalization into the left scaling so rounds stay
-        # on the s = 1 scale and trajectories are comparable with the flow
-        new_left = scale * (step.left @ left)
-        new_right = right * step.right
-        # the rounds leave every column of the iterate with the same norm
-        failure = _divergence(new_right * input_norms, iters + 1, "rounds")
-        if failure is not None:
-            break
-        current, left, right = new, new_left, new_right
-        iters += 1
-        rep = error_report(current)
-        ratio = rep.op_error / rep.size
-        if observe is not None:
-            observe(iters, float(iters), rep, 0.0, 0.0)
-    return ScalingResult(
-        scaling=ScalingPair(left, right),
-        frame=current,
-        converged=ratio <= config.tol,
-        iterations=iters,
-        final_ratio=ratio,
-        method="flipflop",
-        failure=failure,
-    )
+def _accumulation_bound(state):
+    """The flow's accumulated scalings against their a priori bound.
 
-
-def _solve_flow(frame, config, ratio, observe):
-    state = FlowState.start(frame)
-    input_norms = np.sqrt(column_square_norms(frame.entries))
-    iters = 0
-    failure = None
-    if np.any(input_norms == 0.0):
-        # no scaling gives a zero column the norm of the others
-        failure = str(DegenerateColumnError(int(np.argmin(input_norms))))
-    while failure is None and ratio > config.tol and iters < config.max_iters:
-        try:
-            new = gradient_flow_step(state)
-        except (StagnationError, ValueError) as exc:
-            # the step underflowed, or its iterate or scaling failed validation
-            failure = f"flow step {iters + 1} failed: {exc}"
-            break
-        with np.errstate(divide="ignore", over="ignore"):
-            ratios = new.scaling.right * input_norms / np.sqrt(
-                column_square_norms(new.frame.entries))
-        failure = _divergence(ratios, iters + 1, "steps")
-        if failure is not None:
-            break
-        state = new
-        iters += 1
-        rep = error_report(state.frame)
-        ratio = rep.op_error / rep.size
-        if observe is not None:
-            observe(iters, state.time, rep, state.int_isotropy_op, state.int_norm_op)
-    # accumulation bound: ||prod_k (I - h_k E_k) - I|| <= prod_k (1 + h_k ||E_k||) - 1
-    # <= expm1(sum_k h_k ||E_k||), so it holds for the discrete integrator at
-    # any size, and likewise entrywise for the right scaling
-    left_gap = float(np.linalg.norm(state.scaling.left - np.eye(frame.d), 2))
-    right_gap = float(np.max(np.abs(state.scaling.right - 1.0)))
-    bound = {
+    ||prod_k (I - h_k E_k) - I|| <= prod_k (1 + h_k ||E_k||) - 1
+    <= expm1(sum_k h_k ||E_k||), so the bound holds for the discrete
+    integrator at any size, and likewise entrywise for the right scaling.
+    """
+    left_gap = float(np.linalg.norm(state.left - np.eye(state.frame.d), 2))
+    right_gap = float(np.max(np.abs(state.right - 1.0)))
+    return {
         "left_gap": left_gap,
         "left_bound": math.expm1(state.int_isotropy_op),
         "left_holds": left_gap <= math.expm1(state.int_isotropy_op) + 1e-12,
@@ -432,16 +429,6 @@ def _solve_flow(frame, config, ratio, observe):
         "right_bound": math.expm1(state.int_norm_op),
         "right_holds": right_gap <= math.expm1(state.int_norm_op) + 1e-12,
     }
-    return ScalingResult(
-        scaling=state.scaling,
-        frame=state.frame,
-        converged=ratio <= config.tol,
-        iterations=iters,
-        final_ratio=ratio,
-        method="flow",
-        scaling_bound=bound,
-        failure=failure,
-    )
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,11 @@ class TestFlipFlopStep:
             flip_flop_step(Frame(mat))
 
 
+def _carrying(state, h):
+    """The state with last step h / 2, so the controller first tries h."""
+    return dataclasses.replace(state, step=h / 2)
+
+
 class TestGradientFlowStep:
     def test_balanced_fixed_point(self):
         state = FlowState.start(Frame(np.eye(3) / math.sqrt(3.0)))
@@ -98,8 +103,9 @@ class TestGradientFlowStep:
         assert nxt.time > 0
 
     def test_two_heavy_explicit_update(self):
-        state = FlowState.start(Frame(TWO_HEAVY))
-        nxt = gradient_flow_step(state, dt=0.01)
+        state = _carrying(FlowState.start(Frame(TWO_HEAVY)), 0.01)
+        nxt = gradient_flow_step(state)
+        assert nxt.time == 0.01
         expected = np.array([[0.99, 0.99, 0.0], [0.0, 0.0, 1.01]])
         assert np.allclose(nxt.frame.entries, expected, atol=1e-15)
         assert np.allclose(nxt.scaling.left, np.diag([0.99, 1.01]), atol=1e-15)
@@ -111,9 +117,9 @@ class TestGradientFlowStep:
             sample_sphere_frame(3, 9, SeedSpec(1, 0)),
             sample_sphere_frame(2, 6, SeedSpec(1, 1)),
         ):
-            state = FlowState.start(frame)
             h = 1e-6
-            nxt = gradient_flow_step(state, dt=h)
+            nxt = gradient_flow_step(_carrying(FlowState.start(frame), h))
+            assert nxt.time == h
             rate = (size(nxt.frame) - size(frame)) / h
             rep = error_report(frame)
             assert rate == pytest.approx(-2.0 * rep.l2_error, rel=1e-3)
@@ -125,8 +131,9 @@ class TestGradientFlowStep:
         assert state.reconstruction_error() <= 1e-8
 
     def test_integrals_accumulate(self):
-        state = FlowState.start(Frame(TWO_HEAVY))
-        nxt = gradient_flow_step(state, dt=0.01)
+        state = _carrying(FlowState.start(Frame(TWO_HEAVY)), 0.01)
+        nxt = gradient_flow_step(state)
+        assert nxt.time == 0.01
         assert nxt.int_isotropy_op == pytest.approx(0.01 * 1.0, rel=1e-12)
         assert nxt.int_norm_op == 0.0
 
@@ -388,6 +395,66 @@ class TestFlipFlopBitwise:
             for field in dataclasses.fields(want):
                 assert np.array_equal(getattr(got, field.name),
                                       getattr(want, field.name)), field.name
+
+
+def _reference_flow(frame, config):
+    """The flow solve built from public steps alone."""
+    rep = error_report(frame)
+    ratio = rep.op_error / rep.size
+    state = FlowState.start(frame)
+    iters = 0
+    while ratio > config.tol and iters < config.max_iters:
+        state = gradient_flow_step(state)
+        iters += 1
+        rep = error_report(state.frame)
+        ratio = rep.op_error / rep.size
+    return state, iters, ratio
+
+
+class TestFlowBitwise:
+    @pytest.mark.parametrize("d, n", [(4, 16), (16, 64), (8, 256)])
+    def test_solver_matches_public_step_loop(self, d, n):
+        frame = sample_sphere_frame(d, n, SeedSpec(33, d * n))
+        config = SolverConfig(tol=1e-10)
+        result = solve_scaling(frame, config, method="flow")
+        state, iters, ratio = _reference_flow(frame, config)
+        assert result.iterations == iters > 0
+        assert result.final_ratio == ratio
+        assert np.array_equal(result.frame.entries, state.frame.entries)
+        assert np.array_equal(result.scaling.left, state.left)
+        assert np.array_equal(result.scaling.right, state.right)
+
+
+class TestOneLoop:
+    def test_flow_validates_the_scaling_once(self, monkeypatch):
+        frame = sample_sphere_frame(16, 64, SeedSpec(703, 0))
+        validations = []
+        post_init = ScalingPair.__post_init__
+        monkeypatch.setattr(
+            ScalingPair, "__post_init__",
+            lambda pair: validations.append(1) or post_init(pair))
+        result = solve_scaling(frame, method="flow")
+        assert result.converged and result.iterations > 1
+        assert len(validations) == 1
+
+    def test_failed_step_names_method_and_step(self):
+        # the Gram matrix has condition number about 1e16
+        frame = Frame(np.array([[1.0, 1.0, 0.5], [0.0, 1e-8, 1e-8]]))
+        result = solve_scaling(frame, method="flipflop")
+        assert not result.converged
+        assert result.iterations == 0
+        assert result.failure == (
+            "flipflop step 1 failed: Gram matrix condition number exceeds 1e+14")
+        flow = solve_scaling(frame, method="flow")
+        assert flow.converged and flow.iterations == 74
+
+    @pytest.mark.parametrize("method", ["flipflop", "flow"])
+    def test_converged_input_names_no_failure(self, method):
+        # a zero column puts op_error / size at 1, within a loose tolerance
+        frame = Frame(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        result = solve_scaling(frame, SolverConfig(tol=2.0), method=method)
+        assert result.converged and result.iterations == 0
+        assert result.failure is None
 
 
 class TestNoBalancingScaling:
