@@ -368,12 +368,12 @@ def solve_scaling(frame: Frame, config: SolverConfig | None = None,
         except (ValueError, IllConditionedError, StagnationError) as exc:
             failure = f"{method} step {iters + 1} failed: {exc}"
             break
-        rep = error_report(new.frame)
-        failure = _divergence(new, rep, input_norms, iters + 1, unit)
+        failure = _divergence(new, input_norms, iters + 1, unit)
         if failure is not None:
             break
         state = new
         iters += 1
+        rep = error_report(state.frame)
         ratio = rep.op_error / rep.size
         if observe is not None:
             observe(iters, state.time, rep, state.int_isotropy_op, state.int_norm_op)
@@ -389,12 +389,13 @@ def solve_scaling(frame: Frame, config: SolverConfig | None = None,
     )
 
 
-def _divergence(state, rep, input_norms, count, unit):
+def _divergence(state, input_norms, count, unit):
     """Why the accumulated scaling must stop here, or None.
 
     Takes R_j |v0_j| / |u_j| for the input columns v0_j and the columns u_j
-    of the iterate U = L V0 diag(R), with |u_j|^2 = (norm_error_j + size) / n
-    read from the iterate's report ``rep``.  Each ratio equals
+    of the iterate U = L V0 diag(R).  |u_j| is computed from U's entries,
+    not from the report's norm defects: n |u_j|^2 - size cancels to round-off
+    for a column far lighter than the others.  Each ratio equals
     |v0_j| / |L v0_j|, which lies between 1/sigma_max(L) and 1/sigma_min(L),
     so their spread bounds the condition number of L from below with no
     decomposition.  Past 1/eps, L is singular to working precision: the
@@ -403,7 +404,7 @@ def _divergence(state, rep, input_norms, count, unit):
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratios = state.right * input_norms / np.sqrt(
-            (rep.norm_error + rep.size) / state.frame.n)
+            column_square_norms(state.frame.entries))
         spread = float(np.max(ratios) / np.min(ratios))
     if spread <= _MAX_SCALING_COND:
         return None
