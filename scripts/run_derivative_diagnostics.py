@@ -3,14 +3,11 @@
 
 import sys
 
-from framescale import ExperimentConfig, run_diagnostics
+from framescale import run_diagnostics
 
 
 def main():
-    cfg = ExperimentConfig(
-        kind="diagnostics", d=1, n_grid=(1,), trials=1, master_seed=0, h=1e-6,
-    )
-    output = run_diagnostics(cfg)
+    output = run_diagnostics(master_seed=0, h=1e-6)
     width = max(len(label) for label, *_ in output.rows)
     for label, check, analytic, fd, rel, ok in output.rows:
         flag = "ok " if ok else "BAD"

@@ -193,10 +193,12 @@ def _cmd_scale(args):
             last = point
             if t % _TRAJECTORY_EVERY == 0:
                 rows.append(_trajectory_row(*point))
+                last = None
 
     result = solve_scaling(frame, config, method=args.method, observe=observe)
     if args.csv is not None:
-        rows.append(_trajectory_row(*last))
+        if last is not None:
+            rows.append(_trajectory_row(*last))
         _emit(_TRAJECTORY_HEADER + "\n" + "\n".join(rows) + "\n", args.csv)
     summary = {
         "method": result.method,
@@ -227,17 +229,16 @@ def _cmd_expansion(args):
     return 0
 
 
-def _sweep_config(args, kind, n_grid, **extra):
+def _sweep_config(args, kind, n_grid):
     return ExperimentConfig(
         kind=kind,
         d=args.d,
         n_grid=n_grid,
         trials=args.trials,
-        radial=getattr(args, "radial", RadialLaw.constant()),
-        shape=getattr(args, "shape", ShapeSpec("identity")),
+        radial=args.radial,
+        shape=args.shape,
         master_seed=args.seed,
-        tol=getattr(args, "tol", 1e-10),
-        **extra,
+        tol=args.tol,
     )
 
 
@@ -268,11 +269,7 @@ def _cmd_survey(args):
 
 
 def _cmd_diagnose(args):
-    cfg = ExperimentConfig(
-        kind="diagnostics", d=1, n_grid=(1,), trials=1,
-        master_seed=args.seed, h=args.h,
-    )
-    output = run_diagnostics(cfg)
+    output = run_diagnostics(args.seed, args.h)
     lines = ["frame,check,analytic,finite_difference,rel_error,ok"]
     for label, check, analytic, fd, rel, ok in output.rows:
         lines.append(

@@ -367,14 +367,29 @@ def quantum_expansion_exact(frame: Frame) -> QuantumExpansionResult:
     return QuantumExpansionResult(lam=lam, sup=sup, witness=SubsetProbe(y=y))
 
 
+def _infty_expansion(frame, blocks, mode, checked):
+    """The expansion constant from the largest vertex norm over ``blocks``."""
+    d, n = frame.entries.shape
+    s = float(np.sum(frame.entries * frame.entries))
+    best, best_subset = _SubsetKernel(frame).max_vertex_norm(blocks)
+    signs = np.ones(n)
+    signs[best_subset] = -1.0
+    return InftyExpansionResult(
+        lam=1.0 - d * best / s,
+        sup=best,
+        mode=mode,
+        witness=SubsetProbe(y=signs, subset=tuple(best_subset)),
+        subsets_checked=checked,
+    )
+
+
 def infty_expansion_exact(frame: Frame) -> InftyExpansionResult:
     """Exact infinity-expansion constant by enumerating sign-balanced vertices.
 
     The maximized norm is convex in the test vector, so the sup over the
     zero-sum infinity ball is attained at a vertex 1 - 2*1_B with |B| = n/2.
     """
-    entries = frame.entries
-    d, n = entries.shape
+    n = frame.n
     if n % 2:
         raise UnsupportedConfigError(
             f"exact infinity expansion needs even n (odd n would require "
@@ -384,19 +399,8 @@ def infty_expansion_exact(frame: Frame) -> InftyExpansionResult:
         raise UnsupportedConfigError(
             f"exact infinity expansion supports n <= {INFTY_EXACT_MAX_N}, got {n}"
         )
-    s = float(np.sum(entries * entries))
-    half = n // 2
-    best, best_subset = _SubsetKernel(frame).max_vertex_norm(
-        _combo_chunks(n, half))
-    signs = np.ones(n)
-    signs[best_subset] = -1.0
-    return InftyExpansionResult(
-        lam=1.0 - d * best / s,
-        sup=best,
-        mode="exact",
-        witness=SubsetProbe(y=signs, subset=tuple(best_subset)),
-        subsets_checked=math.comb(n, half),
-    )
+    return _infty_expansion(frame, _combo_chunks(n, n // 2), "exact",
+                            math.comb(n, n // 2))
 
 
 def infty_expansion_sampled(frame: Frame, trials: int, seed: SeedSpec
@@ -406,24 +410,14 @@ def infty_expansion_sampled(frame: Frame, trials: int, seed: SeedSpec
     Every vertex visited can only raise the observed sup, hence only lower
     lambda; the returned value is always >= the exact constant.
     """
-    entries = frame.entries
-    d, n = entries.shape
+    n = frame.n
     if n % 2:
         raise UnsupportedConfigError(f"sampling needs even n, got n={n}")
     if trials < 1:
         raise ValueError("trials must be positive")
-    s = float(np.sum(entries * entries))
-    best, best_subset = _SubsetKernel(frame).max_vertex_norm(
-        _sampled_subsets(n, n // 2, trials, seed.generator()))
-    signs = np.ones(n)
-    signs[best_subset] = -1.0
-    return InftyExpansionResult(
-        lam=1.0 - d * best / s,
-        sup=best,
-        mode="sampled",
-        witness=SubsetProbe(y=signs, subset=tuple(best_subset)),
-        subsets_checked=trials,
-    )
+    return _infty_expansion(
+        frame, _sampled_subsets(n, n // 2, trials, seed.generator()), "sampled",
+        trials)
 
 
 def _as_beta(beta, n):

@@ -155,10 +155,9 @@ class FlowState:
     """A point on a solver trajectory with its accumulated scaling.
 
     The iterate ``frame`` equals ``left @ V0 * right`` for the input frame
-    V0 (``initial``).  ``left`` and ``right`` are kept as plain arrays and
-    validated only when ``scaling`` is requested: the iterate's own spanning
-    certificate already proves ``left`` invertible, since
-    rank(L V0 diag(R)) <= rank(L).
+    V0.  ``left`` and ``right`` are kept as plain arrays and validated only
+    when ``scaling`` is requested: the iterate's own spanning certificate
+    already proves ``left`` invertible, since rank(L V0 diag(R)) <= rank(L).
 
     ``int_isotropy_op`` and ``int_norm_op`` accumulate the time integrals of
     the two defect spectral norms along the flow, which bound how far the
@@ -172,7 +171,6 @@ class FlowState:
     time: float
     int_isotropy_op: float
     int_norm_op: float
-    initial: Frame
     step: float
 
     @classmethod
@@ -184,7 +182,6 @@ class FlowState:
             time=0.0,
             int_isotropy_op=0.0,
             int_norm_op=0.0,
-            initial=frame,
             # half the first step, which the controller doubles; the sum is
             # the size error_report computes, without its decomposition
             step=0.5 * _FIRST_STEP / float(column_square_norms(frame.entries).sum()),
@@ -194,12 +191,6 @@ class FlowState:
     def scaling(self) -> ScalingPair:
         """The accumulated scaling as a validated pair."""
         return ScalingPair(self.left, self.right)
-
-    def reconstruction_error(self) -> float:
-        """Relative Frobenius gap between the frame and L V0 diag(R)."""
-        rebuilt = self.scaling.apply(self.initial.entries)
-        denom = np.linalg.norm(self.frame.entries)
-        return float(np.linalg.norm(rebuilt - self.frame.entries) / denom)
 
 
 @dataclass
@@ -216,16 +207,16 @@ class ScalingResult:
     failure: str | None = None
 
 
-def flip_flop_step(frame: Frame, *, unit_size: bool = False):
+def flip_flop_step(state: FlowState) -> FlowState:
     """One full alternating round: make V V^T the identity, then unit columns.
 
-    Returns the new frame L V diag(R) and the round's scaling pair (L, R).
-    With ``unit_size=True`` the new frame is rescaled to size 1 before it is
-    built, and the scalar c is returned third: (c L V diag(R), (L, R), c).
-    The round reads the frame's Gram matrix and builds one Frame.
-    Raises IllConditionedError when the Gram matrix condition number
-    exceeds 1e14 and DegenerateColumnError on a zero column.
+    The round L V diag(R) is rescaled by c to size 1 before its one Frame
+    is built, and c L, R are folded into the state's scaling, so rounds stay
+    on the s = 1 scale and their trajectories are comparable with the flow.
+    ``time`` counts rounds.  Raises IllConditionedError when the Gram matrix
+    condition number exceeds 1e14 and DegenerateColumnError on a zero column.
     """
+    frame = state.frame
     gram = frame.gram
     w, u = np.linalg.eigh(0.5 * (gram + gram.T))
     if w[0] <= 0.0 or w[-1] / w[0] > _GRAM_MAX_COND:
@@ -239,23 +230,13 @@ def flip_flop_step(frame: Frame, *, unit_size: bool = False):
         raise DegenerateColumnError(int(np.argmin(col_sq)))
     right = 1.0 / np.sqrt(col_sq)
     out = iso * right[None, :]
-    if not unit_size:
-        return Frame(out), ScalingPair(left, right)
     scale = 1.0 / math.sqrt(float(np.sum(out * out)))
     out *= scale
-    return Frame(out), ScalingPair(left, right), scale
-
-
-def _flip_flop_round(state: FlowState) -> FlowState:
-    """One flip-flop round as a solver step; ``time`` counts rounds."""
-    frame, pair, scale = flip_flop_step(state.frame, unit_size=True)
-    # fold the size normalization into the left scaling so rounds stay on
-    # the s = 1 scale and trajectories are comparable with the flow
     return replace(
         state,
-        frame=frame,
-        left=scale * (pair.left @ state.left),
-        right=state.right * pair.right,
+        frame=Frame(out),
+        left=scale * (left @ state.left),
+        right=state.right * right,
         time=state.time + 1.0,
     )
 
@@ -326,7 +307,7 @@ def solve_scaling(frame: Frame, config: SolverConfig | None = None,
     """Find scalings (L, R) making L V diag(R) doubly balanced.
 
     Both methods run one loop over a ``FlowState``; the method picks only
-    the step, a flip-flop round or a ``gradient_flow_step``.  The loop
+    the step, ``flip_flop_step`` or ``gradient_flow_step``.  The loop
     terminates when op_error / size drops to config.tol.  Otherwise the
     last valid iterate is returned with converged=False, and ``failure``
     names the cause unless only the budget ran out:
@@ -348,8 +329,10 @@ def solve_scaling(frame: Frame, config: SolverConfig | None = None,
     """
     if config is None:
         config = SolverConfig()
+    # the steps are looked up by name on every solve, so a wrapper installed
+    # on the module attribute (a tracer, a counter) sees every step
     if method == "flipflop":
-        step, unit = _flip_flop_round, "rounds"
+        step, unit = flip_flop_step, "rounds"
     elif method == "flow":
         step, unit = gradient_flow_step, "steps"
     else:

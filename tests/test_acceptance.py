@@ -127,9 +127,7 @@ def test_criterion_03_scaling_estimator_correspondence():
 
 def test_criterion_04_derivative_identities():
     start = time.perf_counter()
-    cfg = ExperimentConfig(kind="diagnostics", d=1, n_grid=(1,), trials=1,
-                           master_seed=0, h=1e-6)
-    output = run_diagnostics(cfg)
+    output = run_diagnostics(master_seed=0, h=1e-6)
     elapsed = time.perf_counter() - start
     ok = output.passed and elapsed < 5.0
     _report(4, "derivative identities", ok,

@@ -93,20 +93,26 @@ class TestScale:
         assert payload["converged"] is True
         assert len(payload["right"]) == 2
 
-    @pytest.mark.parametrize("method", ["flipflop", "flow"])
-    def test_trajectory_row_every_ten_steps(self, sphere_file, tmp_path, method):
+    @pytest.mark.parametrize("method, tol", [
+        pytest.param("flipflop", [], id="flipflop"),
+        pytest.param("flow", [], id="flow"),
+        # 50 rounds: the final state is a tenth step and is written once
+        pytest.param("flipflop", ["--tol", "1e-10"], id="flipflop-tol1e-10"),
+    ])
+    def test_trajectory_row_every_ten_steps(self, sphere_file, tmp_path, method,
+                                            tol):
         csv = tmp_path / "traj.csv"
         out = tmp_path / "scale.json"
         assert main(["scale", "--input", sphere_file, "--method", method,
-                     "--csv", str(csv), "--json", str(out)]) == 0
+                     "--csv", str(csv), "--json", str(out), *tol]) == 0
         iterations = json.loads(out.read_text())["iterations"]
         rows = [[float(v) for v in line.split(",")]
                 for line in csv.read_text().splitlines()[1:]]
         assert iterations >= 10
-        assert len(rows) == iterations // 10 + 1
+        assert len(rows) == -(-iterations // 10)
         if method == "flipflop":
-            rounds = [10.0 * k for k in range(1, iterations // 10 + 1)]
-            assert [r[0] for r in rows] == rounds + [float(iterations)]
+            rounds = sorted({*range(10, iterations + 1, 10), iterations})
+            assert [r[0] for r in rows] == [float(k) for k in rounds]
 
     def test_flow_trajectory_ends_at_flow_time(self, sphere_file, tmp_path):
         csv = tmp_path / "traj.csv"

@@ -204,9 +204,7 @@ class TestExpansionSurvey:
 
 class TestDiagnostics:
     def test_battery_passes_gate(self):
-        cfg = ExperimentConfig(kind="diagnostics", d=1, n_grid=(1,), trials=1,
-                               master_seed=0)
-        out = run_diagnostics(cfg)
+        out = run_diagnostics(master_seed=0)
         assert out.passed
         assert len(out.rows) == 30  # ten frames, three checks each
         assert out.max_rel_error <= 1e-3

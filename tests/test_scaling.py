@@ -53,41 +53,51 @@ class TestScalingPair:
             ScalingPair(np.eye(2), np.array([1.0, 0.0]))
 
 
+def _round(frame):
+    return flip_flop_step(FlowState.start(frame))
+
+
 class TestFlipFlopStep:
     def test_identity_fixed_point(self):
-        out, pair = flip_flop_step(Frame(np.eye(3)))
-        assert np.allclose(out.entries, np.eye(3), atol=1e-14)
-        assert np.allclose(pair.left, np.eye(3), atol=1e-14)
-        assert np.allclose(pair.right, 1.0, atol=1e-14)
+        # the round is the identity, then the rescale to size 1
+        new = _round(Frame(np.eye(3)))
+        assert np.allclose(new.frame.entries, np.eye(3) / math.sqrt(3.0), atol=1e-14)
+        assert np.allclose(new.left, np.eye(3) / math.sqrt(3.0), atol=1e-14)
+        assert np.allclose(new.right, 1.0, atol=1e-14)
+        assert new.time == 1.0
 
     def test_axis_scaled_example(self):
-        out, pair = flip_flop_step(Frame(np.diag([2.0, 1.0])))
-        assert np.allclose(out.entries, np.eye(2), atol=1e-14)
-        assert np.allclose(pair.left, np.diag([0.5, 1.0]), atol=1e-14)
-        assert np.allclose(pair.right, 1.0, atol=1e-14)
+        new = _round(Frame(np.diag([2.0, 1.0])))
+        assert np.allclose(new.frame.entries, np.eye(2) / math.sqrt(2.0), atol=1e-14)
+        assert np.allclose(new.left, np.diag([0.5, 1.0]) / math.sqrt(2.0), atol=1e-14)
+        assert np.allclose(new.right, 1.0, atol=1e-14)
 
     def test_left_half_step_isotropy_exact(self):
         frame = sample_sphere_frame(3, 10, SeedSpec(0, 0))
-        _, pair = flip_flop_step(frame)
-        iso = pair.left @ frame.entries
+        new = _round(frame)
+        iso = new.left @ frame.entries
         gram = iso @ iso.T
-        assert np.allclose(gram, np.eye(3), atol=1e-12)
+        # unit columns after the right half step make the size n before the
+        # rescale, so the left factor carries 1/sqrt(n)
+        assert np.allclose(gram, np.eye(3) / 10.0, atol=1e-12)
 
     def test_right_half_step_unit_columns(self):
         frame = sample_sphere_frame(3, 10, SeedSpec(0, 1))
-        out, _ = flip_flop_step(frame)
-        norms = np.linalg.norm(out.entries, axis=0)
-        assert np.allclose(norms, 1.0, atol=1e-12)
+        new = _round(frame)
+        norms = np.linalg.norm(new.frame.entries, axis=0)
+        assert np.allclose(norms, 1.0 / math.sqrt(10.0), atol=1e-12)
+        assert size(new.frame) == pytest.approx(1.0, abs=1e-14)
 
     def test_composite_reproduces_frame(self):
         frame = sample_sphere_frame(4, 9, SeedSpec(0, 2))
-        out, pair = flip_flop_step(frame)
-        assert np.allclose(pair.apply(frame.entries), out.entries, atol=1e-13)
+        new = _round(frame)
+        assert np.allclose(new.scaling.apply(frame.entries), new.frame.entries,
+                           atol=1e-13)
 
     def test_ill_conditioned_gram(self):
         mat = np.array([[1.0, 1.0], [0.0, 1e-8]])
         with pytest.raises(IllConditionedError):
-            flip_flop_step(Frame(mat))
+            _round(Frame(mat))
 
 
 def _carrying(state, h):
@@ -125,10 +135,14 @@ class TestGradientFlowStep:
             assert rate == pytest.approx(-2.0 * rep.l2_error, rel=1e-3)
 
     def test_reconstruction_invariant_along_trajectory(self):
-        state = FlowState.start(sample_sphere_frame(3, 12, SeedSpec(1, 2)))
+        frame = sample_sphere_frame(3, 12, SeedSpec(1, 2))
+        state = FlowState.start(frame)
         for _ in range(200):
             state = gradient_flow_step(state)
-        assert state.reconstruction_error() <= 1e-8
+        rebuilt = state.scaling.apply(frame.entries)
+        gap = np.linalg.norm(rebuilt - state.frame.entries) / np.linalg.norm(
+            state.frame.entries)
+        assert gap <= 1e-8
 
     def test_integrals_accumulate(self):
         state = _carrying(FlowState.start(Frame(TWO_HEAVY)), 0.01)
@@ -185,8 +199,8 @@ class TestDecompositionCount:
     def test_flipflop_round_two_decompositions(self, monkeypatch):
         frame = sample_sphere_frame(16, 64, SeedSpec(0, 1))
         counts = _count_decompositions(monkeypatch)
-        out, _ = flip_flop_step(frame)
-        error_report(out.scaled(0.5))
+        new = _round(frame)
+        error_report(new.frame.scaled(0.5))
         assert counts == {"eigh": 1, "eigvalsh": 1}
 
 
@@ -345,51 +359,45 @@ class TestSolveScaling:
 BATTERY = dict(diagnostics_battery(0))
 
 
-def _reference_flipflop(frame, config):
-    """The flip-flop solve built from public steps alone: a round, a rescale
-    of its frame to unit size with ``scaled``, and a report of the result."""
+def _reference_solve(frame, config, step):
+    """The solve built from public steps alone: ``step`` from
+    ``FlowState.start`` and a report of every new frame, until the tolerance
+    or the budget is reached."""
     rep = error_report(frame)
     ratio = rep.op_error / rep.size
-    current, left, right = frame, np.eye(frame.d), np.ones(frame.n)
-    iters = 0
+    state = FlowState.start(frame)
     reports = []
-    while ratio > config.tol and iters < config.max_iters:
-        new, step = flip_flop_step(current)
-        scale = 1.0 / math.sqrt(float(np.sum(new.entries * new.entries)))
-        current = new.scaled(scale)
-        left = scale * (step.left @ left)
-        right = right * step.right
-        iters += 1
-        rep = error_report(current)
+    while ratio > config.tol and len(reports) < config.max_iters:
+        state = step(state)
+        rep = error_report(state.frame)
         ratio = rep.op_error / rep.size
         reports.append(rep)
-    return current, left, right, iters, ratio, reports
+    return state, ratio, reports
 
 
-class TestFlipFlopBitwise:
-    def test_unit_size_step_is_the_rescaled_step(self):
-        frame = sample_sphere_frame(16, 256, SeedSpec(32, 0))
-        new, step = flip_flop_step(frame)
-        unit, unit_step, scale = flip_flop_step(frame, unit_size=True)
-        assert scale == 1.0 / math.sqrt(float(np.sum(new.entries * new.entries)))
-        assert np.array_equal(unit.entries, new.scaled(scale).entries)
-        assert np.array_equal(unit_step.left, step.left)
-        assert np.array_equal(unit_step.right, step.right)
+# step, seed root and tolerance of each method's bitwise cases
+_BITWISE = {"flipflop": (flip_flop_step, 31, 1e-12),
+            "flow": (gradient_flow_step, 33, 1e-10)}
 
-    @pytest.mark.parametrize("d, n", [(4, 16), (16, 256), (64, 256)])
-    def test_solver_matches_public_step_loop(self, d, n):
-        frame = sample_sphere_frame(d, n, SeedSpec(31, d * n))
-        config = SolverConfig(tol=1e-12)
+
+class TestSolverBitwise:
+    @pytest.mark.parametrize("method, d, n", [
+        ("flipflop", 4, 16), ("flipflop", 16, 256), ("flipflop", 64, 256),
+        ("flow", 4, 16), ("flow", 16, 64), ("flow", 8, 256),
+    ])
+    def test_solver_matches_public_step_loop(self, method, d, n):
+        step, root, tol = _BITWISE[method]
+        frame = sample_sphere_frame(d, n, SeedSpec(root, d * n))
+        config = SolverConfig(tol=tol)
         seen = []
-        result = solve_scaling(frame, config, method="flipflop",
+        result = solve_scaling(frame, config, method=method,
                                observe=lambda k, t, rep, *_: seen.append(rep))
-        ref_frame, left, right, iters, ratio, reports = _reference_flipflop(
-            frame, config)
-        assert result.iterations == iters > 0
+        state, ratio, reports = _reference_solve(frame, config, step)
+        assert result.iterations == len(reports) > 0
         assert result.final_ratio == ratio
-        assert np.array_equal(result.frame.entries, ref_frame.entries)
-        assert np.array_equal(result.scaling.left, left)
-        assert np.array_equal(result.scaling.right, right)
+        assert np.array_equal(result.frame.entries, state.frame.entries)
+        assert np.array_equal(result.scaling.left, state.left)
+        assert np.array_equal(result.scaling.right, state.right)
         assert len(seen) == len(reports)
         for got, want in zip(seen, reports):
             for field in dataclasses.fields(want):
@@ -397,45 +405,37 @@ class TestFlipFlopBitwise:
                                       getattr(want, field.name)), field.name
 
 
-def _reference_flow(frame, config):
-    """The flow solve built from public steps alone."""
-    rep = error_report(frame)
-    ratio = rep.op_error / rep.size
-    state = FlowState.start(frame)
-    iters = 0
-    while ratio > config.tol and iters < config.max_iters:
-        state = gradient_flow_step(state)
-        iters += 1
-        rep = error_report(state.frame)
-        ratio = rep.op_error / rep.size
-    return state, iters, ratio
-
-
-class TestFlowBitwise:
-    @pytest.mark.parametrize("d, n", [(4, 16), (16, 64), (8, 256)])
-    def test_solver_matches_public_step_loop(self, d, n):
-        frame = sample_sphere_frame(d, n, SeedSpec(33, d * n))
-        config = SolverConfig(tol=1e-10)
-        result = solve_scaling(frame, config, method="flow")
-        state, iters, ratio = _reference_flow(frame, config)
-        assert result.iterations == iters > 0
-        assert result.final_ratio == ratio
-        assert np.array_equal(result.frame.entries, state.frame.entries)
-        assert np.array_equal(result.scaling.left, state.left)
-        assert np.array_equal(result.scaling.right, state.right)
-
-
 class TestOneLoop:
-    def test_flow_validates_the_scaling_once(self, monkeypatch):
+    @pytest.mark.parametrize("method", ["flipflop", "flow"])
+    def test_validates_the_scaling_once(self, monkeypatch, method):
         frame = sample_sphere_frame(16, 64, SeedSpec(703, 0))
         validations = []
         post_init = ScalingPair.__post_init__
         monkeypatch.setattr(
             ScalingPair, "__post_init__",
             lambda pair: validations.append(1) or post_init(pair))
-        result = solve_scaling(frame, method="flow")
+        result = solve_scaling(frame, method=method)
         assert result.converged and result.iterations > 1
         assert len(validations) == 1
+
+    def test_steps_are_looked_up_by_name(self, monkeypatch):
+        # a wrapper on the module attribute sees every step of a solve
+        frame = sample_sphere_frame(16, 64, SeedSpec(703, 0))
+        calls = {}
+        for name in ("flip_flop_step", "gradient_flow_step"):
+            step = getattr(scaling, name)
+
+            def counted(state, _name=name, _step=step):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _step(state)
+
+            monkeypatch.setattr(scaling, name, counted)
+        for method, name in (("flipflop", "flip_flop_step"),
+                             ("flow", "gradient_flow_step")):
+            calls.clear()
+            result = solve_scaling(frame, method=method)
+            assert result.converged and result.iterations > 1
+            assert calls == {name: result.iterations}
 
     def test_failed_step_names_method_and_step(self):
         # the Gram matrix has condition number about 1e16
