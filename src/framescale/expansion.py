@@ -26,7 +26,6 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .frame import Frame, column_square_norms, error_report
 from .sampling import SeedSpec
@@ -355,7 +354,11 @@ def quantum_expansion_exact(frame: Frame) -> QuantumExpansionResult:
         )
     s = float(np.sum(entries * entries))
     outer_map = (entries[:, None, :] * entries[None, :, :]).reshape(d * d, n)
-    basis = null_space(np.ones((1, n)))
+    # orthonormal basis of the zero-sum hyperplane: U's columns past rank 1.
+    # It is row-major; the same numbers column-major (Vh[1:].T of the ones
+    # row) send both products below to other BLAS kernels, which round
+    # differently.
+    basis = np.linalg.svd(np.ones((n, 1)))[0][:, 1:]
     if basis.shape[1] == 0:
         sup = 0.0
         y = np.zeros(n)
@@ -547,26 +550,15 @@ def cheeger_constant(frame: Frame) -> CheegerResult:
     best_k = None
     for b_size in range(0, n + 1):
         k_max = (d * (n - b_size)) // n
-        if b_size == 0 and k_max == 0:
-            continue
         for subsets in _combo_chunks(n, b_size):
-            m = subsets.shape[0]
-            if b_size:
-                cols = entries.T[subsets]
-                sub_grams = cols.transpose(0, 2, 1) @ cols
-                norms_b = col_sq[subsets].sum(axis=1)
-            else:
-                sub_grams = np.zeros((m, d, d))
-                norms_b = np.zeros(m)
+            cols = entries.T[subsets]
+            sub_grams = cols.transpose(0, 2, 1) @ cols
+            norms_b = col_sq[subsets].sum(axis=1)
             eigs = np.linalg.eigvalsh(gram[None, :, :] - 2.0 * sub_grams)
             cums = np.cumsum(eigs, axis=1)
-            for k in range(0, k_max + 1):
-                if k == 0:
-                    if b_size == 0:
-                        continue
-                    nums = norms_b
-                else:
-                    nums = norms_b + cums[:, k - 1]
+            # k = 0 with B empty is 0/0, so the empty block starts at k = 1
+            for k in range(0 if b_size else 1, k_max + 1):
+                nums = norms_b + cums[:, k - 1] if k else norms_b
                 dens = (s / d) * k + norms_b
                 ratios = nums / dens
                 i = int(np.argmin(ratios))
@@ -576,7 +568,7 @@ def cheeger_constant(frame: Frame) -> CheegerResult:
                     best_k = k
     basis = None
     if best_k:
-        sub = entries[:, best_subset] if len(best_subset) else np.zeros((d, 0))
+        sub = entries[:, best_subset]
         _, vecs = np.linalg.eigh(gram - 2.0 * (sub @ sub.T))
         basis = vecs[:, :best_k]
     return CheegerResult(
@@ -650,6 +642,8 @@ def build_expansion_report(frame: Frame, mode: str = "exact", beta=Fraction(1, 2
     unsupported configurations; the quantum and Cheeger values are attached
     when their exact preconditions hold and omitted otherwise.
     """
+    if mode not in ("exact", "sampled"):
+        raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     if mode == "exact":
         infty = infty_expansion_exact(frame)
         pseudo = pseudorandom_check(frame, beta, mode="exact")

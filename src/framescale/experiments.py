@@ -64,8 +64,9 @@ class ShapeSpec:
     def __post_init__(self):
         if self.kind not in ("identity", "cond", "random"):
             raise ValueError(f"unknown shape kind {self.kind!r}")
-        if self.kind == "cond" and (self.kappa is None or not self.kappa > 1):
-            raise ValueError("cond shape needs kappa > 1")
+        if self.kind == "cond" and (self.kappa is None
+                                    or not 1 < self.kappa < math.inf):
+            raise ValueError("cond shape needs a finite kappa > 1")
         if self.kind == "random" and self.seed is None:
             raise ValueError("random shape needs a seed")
 

@@ -60,8 +60,8 @@ class RadialLaw:
         if self.kind not in ("constant", "gaussian", "student_t"):
             raise ValueError(f"unknown radial law {self.kind!r}")
         if self.kind == "student_t":
-            if self.nu is None or not self.nu > 0:
-                raise ValueError("student_t radial law needs nu > 0")
+            if self.nu is None or not 0 < self.nu < np.inf:
+                raise ValueError("student_t radial law needs a finite nu > 0")
         elif self.nu is not None:
             raise ValueError(f"radial law {self.kind!r} takes no nu parameter")
 

@@ -212,6 +212,14 @@ class TestExperimentCommands:
         assert main(["experiment", "sample-complexity", "--d", "3",
                      "--n-grid", "x,y"]) == 2
 
+    @pytest.mark.parametrize("flag", [["--radial", "t:inf"],
+                                      ["--shape", "cond:inf"]])
+    def test_non_finite_parameter_is_parse_error(self, flag, capsys):
+        code = main(["experiment", "sample-complexity", "--d", "3",
+                     "--n-grid", "6", "--trials", "1"] + flag)
+        assert code == 2
+        assert f"argument {flag[0]}" in capsys.readouterr().err
+
 
 class TestDiagnose:
     def test_derivatives_pass(self, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
 from framescale import (
     Frame,
@@ -96,6 +97,29 @@ class TestQuantumExpansion:
         assert attained == pytest.approx(result.sup, rel=1e-10)
         assert abs(np.sum(y)) <= 1e-10
         assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("frame", [
+        *(sample_sphere_frame(min(n, 3), n, SeedSpec(71, n))
+          for n in (1, 2, 3, 16, 64, 257)),
+        Frame([[1.0, 1.0]]),
+        Frame(np.column_stack([[0.6, 0.8, 0.0]] * 8
+                              + [[0.0, 0.0, 1.0], [0.8, -0.6, 0.0]])),
+    ], ids=lambda frame: "x".join(map(str, frame.entries.shape)))
+    def test_matches_null_space_reference(self, frame):
+        entries = frame.entries
+        d, n = entries.shape
+        basis = null_space(np.ones((1, n)))
+        outer_map = (entries[:, None, :] * entries[None, :, :]).reshape(d * d, n)
+        if basis.shape[1]:
+            _, svals, vt = np.linalg.svd(outer_map @ basis)
+            sup, y = float(svals[0]), basis @ vt[0]
+        else:
+            sup, y = 0.0, np.zeros(n)
+        lam = 1.0 - sup * math.sqrt(d * n) / float(np.sum(entries * entries))
+        result = quantum_expansion_exact(frame)
+        assert result.lam == lam
+        assert result.sup == sup
+        assert np.array_equal(result.witness.y, y)
 
 
 class TestInftyExpansion:
@@ -425,6 +449,11 @@ class TestReportBuilder:
         assert report.mode == "sampled"
         assert report.cheeger is None  # raw frame is not balanced
         assert report.subsets_checked == 100
+
+    def test_rejects_unknown_mode(self):
+        frame = sample_sphere_frame(3, 8, SeedSpec(84, 2))
+        with pytest.raises(ValueError, match="mode must be 'exact' or 'sampled'"):
+            build_expansion_report(frame, mode="bogus", seed=SeedSpec(84, 3))
 
 
 def _kernel_frames():

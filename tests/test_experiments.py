@@ -41,6 +41,9 @@ class TestConfig:
         assert ShapeSpec.parse("random:5").seed == 5
         with pytest.raises(ValueError):
             ShapeSpec.parse("cond:0.5")
+        for text in ("cond:inf", "cond:nan"):
+            with pytest.raises(ValueError, match="finite kappa"):
+                ShapeSpec.parse(text)
 
     def test_shape_materialize(self):
         diag = ShapeSpec.parse("cond:100").materialize(4)

@@ -77,6 +77,11 @@ class TestRadialLaw:
     def test_bad_nu(self):
         with pytest.raises(ValueError):
             RadialLaw.student_t(0.0)
+        for nu in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite nu"):
+                RadialLaw.student_t(nu)
+        with pytest.raises(ValueError, match="finite nu"):
+            RadialLaw.parse("t:inf")
         with pytest.raises(ValueError):
             RadialLaw.parse("cauchy")
 
