@@ -56,6 +56,8 @@ QUANTUM_EXACT_MAX_N = 2000
 INFTY_EXACT_MAX_N = 20
 PSEUDO_EXACT_MAX_SUBSETS = 2_000_000
 CHEEGER_MAX_N = 16
+# slack of both links of infty_implies_quantum_check
+CHAIN_FP_TOL = 1e-9
 # exactly-balanced preconditions accept this much relative defect
 BALANCE_RTOL = 1e-8
 _CHUNK = 16384
@@ -208,14 +210,12 @@ def _subset_gram_extremes(entries, subsets):
 
 
 def _sampled_subsets(n, k, count, gen, chunk=_CHUNK):
-    """Yield blocks of uniformly random k-subsets of range(n)."""
+    """Yield blocks of uniformly random k-subsets of range(n), 1 <= k < n."""
     remaining = count
     while remaining > 0:
         m = min(remaining, chunk)
         scores = gen.random((m, n))
-        idx = np.argpartition(scores, k - 1, axis=1)[:, :k] if k < n else \
-            np.tile(np.arange(n), (m, 1))
-        yield idx
+        yield np.argpartition(scores, k - 1, axis=1)[:, :k]
         remaining -= m
 
 
@@ -579,12 +579,12 @@ def cheeger_constant(frame: Frame) -> CheegerResult:
     )
 
 
-def infty_implies_quantum_check(frame: Frame, fp_tol: float = 1e-9) -> ChainReport:
+def infty_implies_quantum_check(frame: Frame) -> ChainReport:
     """Evaluate the two-link chain from infinity expansion to quantum expansion.
 
     For a doubly balanced frame the bottleneck quantity dominates one sixth
     of the infinity constant, and its square lower-bounds the quantum
-    constant.  Both links are evaluated numerically with slack ``fp_tol``.
+    constant.  Both links are evaluated numerically with slack ``CHAIN_FP_TOL``.
     """
     _require_balanced(frame, "infty_implies_quantum_check")
     if frame.n % 2 or frame.n > CHEEGER_MAX_N:
@@ -598,9 +598,9 @@ def infty_implies_quantum_check(frame: Frame, fp_tol: float = 1e-9) -> ChainRepo
         lambda_infty=lam_infty,
         cheeger=cheeger,
         lambda_quantum=lam_quantum,
-        infty_to_cheeger_ok=cheeger >= lam_infty / 6.0 - fp_tol,
-        cheeger_to_quantum_ok=lam_quantum >= cheeger * cheeger - fp_tol,
-        fp_tol=fp_tol,
+        infty_to_cheeger_ok=cheeger >= lam_infty / 6.0 - CHAIN_FP_TOL,
+        cheeger_to_quantum_ok=lam_quantum >= cheeger * cheeger - CHAIN_FP_TOL,
+        fp_tol=CHAIN_FP_TOL,
     )
 
 

@@ -21,10 +21,10 @@ from .expansion import (
     pseudorandom_check,
     UnsupportedConfigError,
 )
-from .frame import Frame, FrameError, error_report
-from .sampling import RadialLaw, SeedSpec, normalize_columns, sample_sphere_frame, \
-    sample_gaussian_frame
-from .scaling import SolverConfig, derivative_diagnostics, pd_sqrt, solve_scaling
+from .frame import Frame, FrameError, column_square_norms, error_report
+from .sampling import EllipticalModel, RadialLaw, SeedSpec, float_text, \
+    sample_elliptical, sample_sphere_frame, sample_gaussian_frame
+from .scaling import SolverConfig, derivative_diagnostics, solve_scaling
 from .tyler import ShapePD, relative_op_error, tyler_iterate
 
 __all__ = [
@@ -83,7 +83,7 @@ class ShapeSpec:
 
     def __str__(self):
         if self.kind == "cond":
-            return f"cond:{self.kappa:g}"
+            return f"cond:{float_text(self.kappa)}"
         if self.kind == "random":
             return f"random:{self.seed}"
         return self.kind
@@ -141,7 +141,7 @@ class ExperimentConfig:
             if name == "n_grid":
                 value = ",".join(str(n) for n in value)
             elif name == "tol":
-                value = f"{value:g}"
+                value = float_text(value)
             parts.append(f"{name}={value}")
         return "# " + " ".join(parts)
 
@@ -160,21 +160,21 @@ class DiagnosticsOutput:
     max_rel_error: float
 
 
-def _estimation_input(cfg, sigma_half, n, trial):
+def _estimation_input(cfg, sigma, n, trial):
     """Estimator input for one trial: unit columns of shaped directions.
 
     The radial scalars of the elliptical model cancel exactly under column
-    normalization, so the input is built from the direction draws alone and
-    every radial law yields identical bits under a matched seed.
+    normalization, so the constant law serves every radial law bit for bit.
+    The plain array it returns is validated by ``tyler_iterate`` alone.
     """
-    directions = sample_sphere_frame(cfg.d, n, SeedSpec(cfg.master_seed, trial))
-    return normalize_columns(sigma_half @ directions.entries)
+    model = EllipticalModel(sigma, RadialLaw.constant())
+    data = sample_elliptical(model, n, SeedSpec(cfg.master_seed, trial))
+    return data / np.sqrt(column_square_norms(data))
 
 
 def run_sample_complexity(cfg: ExperimentConfig) -> SweepOutput:
     """Relative estimation error versus sample count, one row per trial."""
     sigma = cfg.shape.materialize(cfg.d)
-    sigma_half = pd_sqrt(sigma.matrix)
     lines = [
         "# framescale experiment=sample-complexity",
         cfg.echo(("d", "n_grid", "trials", "radial", "shape", "master_seed", "tol")),
@@ -186,8 +186,8 @@ def run_sample_complexity(cfg: ExperimentConfig) -> SweepOutput:
             raise ValueError(f"every n must be at least d={cfg.d}, got {n}")
         for trial in range(cfg.trials):
             try:
-                frame = _estimation_input(cfg, sigma_half, n, trial)
-                result = tyler_iterate(frame.entries, tol=cfg.tol)
+                data = _estimation_input(cfg, sigma, n, trial)
+                result = tyler_iterate(data, tol=cfg.tol)
                 err = relative_op_error(sigma, result.sigma_hat)
                 row = (cfg.d, n, trial, cfg.master_seed, err,
                        result.iterations, result.converged)
@@ -242,7 +242,6 @@ def run_convergence(cfg: ExperimentConfig) -> SweepOutput:
     if n < 2 * cfg.d:
         raise ValueError(f"convergence experiment needs n >= 2d, got n={n}")
     sigma = cfg.shape.materialize(cfg.d)
-    sigma_half = pd_sqrt(sigma.matrix)
     lines = [
         "# framescale experiment=convergence",
         cfg.echo(("d", "n_grid", "trials", "radial", "shape", "master_seed", "tol")),
@@ -251,12 +250,12 @@ def run_convergence(cfg: ExperimentConfig) -> SweepOutput:
     rows = []
     trial_summaries = []
     for trial in range(cfg.trials):
-        frame = _estimation_input(cfg, sigma_half, n, trial)
+        data = _estimation_input(cfg, sigma, n, trial)
         path = []
-        result = tyler_iterate(frame.entries, tol=cfg.tol,
+        result = tyler_iterate(data, tol=cfg.tol,
                                observe=lambda *point: path.append(point))
         refined = tyler_iterate(
-            frame.entries, tol=min(cfg.tol, 1e-12) * 1e-2,
+            data, tol=min(cfg.tol, 1e-12) * 1e-2,
             initial=result.sigma_hat,
         )
         limit = refined.sigma_hat.matrix

@@ -201,13 +201,13 @@ def _defects(mat: np.ndarray, gram: np.ndarray):
 
     Built from its d x d Gram matrix ``gram`` = mat @ mat.T and the column
     norms with no decomposition, so the balancing flow can test a trial
-    step cheaply.
+    step cheaply.  numpy forms the Gram matrix by a symmetric rank-k update,
+    so the isotropy defect is exactly symmetric as it stands.
     """
     d, n = mat.shape
     col_sq = column_square_norms(mat)
     s = float(col_sq.sum())
     iso = d * gram - s * np.eye(d)
-    iso = 0.5 * (iso + iso.T)
     norm_err = n * col_sq - s
     l2 = float(np.sum(iso * iso) / d + np.sum(norm_err * norm_err) / n)
     return s, iso, norm_err, l2
@@ -230,7 +230,10 @@ def error_report(frame: Frame) -> ErrorReport:
 def _memoize_report(frame: Frame, defects) -> None:
     """Store the report of a frame whose ``_defects`` are already known."""
     s, iso, norm_err, l2 = defects
-    eigs = _symmetric_eigvalsh(iso)
+    # a Gram matrix that overflowed is the one way a Frame's defect fails here
+    if not np.all(np.isfinite(iso)):
+        raise ValueError("matrix entries must be finite")
+    eigs = np.linalg.eigvalsh(iso)
     op_iso = float(np.max(np.abs(eigs)))
     op_norm = float(np.max(np.abs(norm_err)))
     frame._report = ErrorReport(
@@ -256,16 +259,9 @@ def is_eps_doubly_balanced(frame: Frame, eps: float) -> bool:
 def op_norm_symmetric(mat) -> float:
     """Spectral norm (largest absolute eigenvalue) of a symmetric matrix.
 
-    Uses a full symmetric eigendecomposition.  Rejects input whose
+    Uses a full symmetric eigendecomposition; a zero matrix gets 0 without
+    one.  Rejects input that is not square or not finite, or whose
     asymmetry exceeds 1e-10 times its Frobenius norm.
-    """
-    return float(np.max(np.abs(_symmetric_eigvalsh(mat)), initial=0.0))
-
-
-def _symmetric_eigvalsh(mat) -> np.ndarray:
-    """Ascending eigenvalues of a finite, numerically symmetric square matrix.
-
-    A zero matrix gets zeros without a decomposition.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -276,7 +272,7 @@ def _symmetric_eigvalsh(mat) -> np.ndarray:
     # underflow and make a nonzero matrix read as zero
     peak = float(np.abs(mat).max(initial=0.0))
     if peak == 0.0:
-        return np.zeros(mat.shape[0])
+        return 0.0
     unit = mat / peak
     fnorm = float(np.linalg.norm(unit))
     asym = float(np.linalg.norm(unit - unit.T))
@@ -285,7 +281,7 @@ def _symmetric_eigvalsh(mat) -> np.ndarray:
             f"matrix is not symmetric: asymmetry {asym * peak:.3e} exceeds "
             f"{_SYMMETRY_RTOL:.0e} * ||M||_F = {_SYMMETRY_RTOL * fnorm * peak:.3e}"
         )
-    return np.linalg.eigvalsh(mat)
+    return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,12 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 
+def float_text(value: float) -> str:
+    """The ``:g`` text of a float when it parses back to it, else ``repr``."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(float(value))
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """Master seed plus stream index; equal specs reproduce equal samples."""
@@ -90,7 +96,7 @@ class RadialLaw:
 
     def __str__(self):
         if self.kind == "student_t":
-            return f"t:{self.nu:g}"
+            return f"t:{float_text(self.nu)}"
         return self.kind
 
     def draw(self, d: int, n: int, gen: np.random.Generator) -> np.ndarray:

@@ -217,8 +217,7 @@ def flip_flop_step(state: FlowState) -> FlowState:
     condition number exceeds 1e14 and DegenerateColumnError on a zero column.
     """
     frame = state.frame
-    gram = frame.gram
-    w, u = np.linalg.eigh(0.5 * (gram + gram.T))
+    w, u = np.linalg.eigh(frame.gram)
     if w[0] <= 0.0 or w[-1] / w[0] > _GRAM_MAX_COND:
         raise IllConditionedError(
             f"Gram matrix condition number exceeds {_GRAM_MAX_COND:.0e}"
@@ -274,22 +273,19 @@ def gradient_flow_step(state: FlowState) -> FlowState:
     top = max(rep.top_isotropy, float(np.max(norm_err)), 0.0)
     if top > 0.0:
         h = min(h, 0.9 / top)
-    defects = None
+    roundoff = rep.l2_error <= _L2_FLOOR * s * s
     while True:
         left_factor = np.eye(d) - h * iso
         right_factor = 1.0 - h * norm_err
         new_mat = (left_factor @ mat) * right_factor[None, :]
-        if rep.l2_error <= _L2_FLOOR * s * s:
-            break
         defects = _defects(new_mat, new_mat @ new_mat.T)
-        if defects[3] <= rep.l2_error and defects[0] <= s:
+        if roundoff or (defects[3] <= rep.l2_error and defects[0] <= s):
             break
         h *= 0.5
         if h * s < _MIN_STEP:
             raise StagnationError(f"flow step underflowed: h*size={h * s:.3e}")
     new_frame = Frame(new_mat)
-    if defects is not None:
-        _memoize_report(new_frame, defects)
+    _memoize_report(new_frame, defects)
     return replace(
         state,
         frame=new_frame,

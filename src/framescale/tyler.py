@@ -255,10 +255,10 @@ def result_to_json(result: EstimatorResult, capacity_trace) -> str:
     """Serialize an estimate result and its capacity trace to JSON."""
     payload = {
         "d": result.sigma_hat.d,
-        "sigma_hat": [float(f"{x:.17g}") for x in result.sigma_hat.matrix.ravel()],
-        "residual": float(f"{result.residual:.17g}"),
+        "sigma_hat": result.sigma_hat.matrix.ravel().tolist(),
+        "residual": float(result.residual),
         "iterations": result.iterations,
         "converged": result.converged,
-        "capacity_trace": [float(f"{x:.17g}") for x in capacity_trace],
+        "capacity_trace": [float(x) for x in capacity_trace],
     }
     return json.dumps(payload, indent=2)

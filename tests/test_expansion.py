@@ -25,6 +25,7 @@ from framescale import (
     solve_scaling,
 )
 from framescale.expansion import (
+    CHAIN_FP_TOL,
     BalanceRequiredError,
     SubsetProbe,
     UnsupportedConfigError,
@@ -370,6 +371,9 @@ class TestChain:
     def test_requires_even_n(self):
         with pytest.raises(UnsupportedConfigError):
             infty_implies_quantum_check(mercedes())
+
+    def test_records_its_slack(self):
+        assert infty_implies_quantum_check(Frame(np.eye(4))).fp_tol == CHAIN_FP_TOL
 
 
 class TestInvariances:

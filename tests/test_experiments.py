@@ -6,10 +6,12 @@ from scipy import stats
 
 from framescale import (
     ExperimentConfig,
+    Frame,
     RadialLaw,
     SeedSpec,
     ShapeSpec,
     infty_expansion_exact,
+    normalize_columns,
     run_convergence,
     run_diagnostics,
     run_expansion_survey,
@@ -17,6 +19,8 @@ from framescale import (
     sample_sphere_frame,
 )
 from framescale.expansion import INFTY_EXACT_MAX_N, UnsupportedConfigError
+from framescale.experiments import _estimation_input
+from framescale.scaling import pd_sqrt
 
 
 def sc_config(**overrides):
@@ -44,6 +48,24 @@ class TestConfig:
         for text in ("cond:inf", "cond:nan"):
             with pytest.raises(ValueError, match="finite kappa"):
                 ShapeSpec.parse(text)
+
+    def test_parameters_echo_their_own_value(self):
+        for kappa in (4.0 / 3.0, 100.0):
+            shape = ShapeSpec("cond", kappa=kappa)
+            assert ShapeSpec.parse(str(shape)) == shape
+        for nu in (2.0 / 3.0, 2.0):
+            law = RadialLaw.student_t(nu)
+            assert RadialLaw.parse(str(law)) == law
+        for tol in (1.2345678e-9, 1e-10, 1e-8):
+            echo = sc_config(tol=tol).echo(("tol",))
+            assert float(echo.removeprefix("# tol=")) == tol
+
+    def test_echo_keeps_the_short_form_that_round_trips(self):
+        assert str(ShapeSpec.parse("cond:100")) == "cond:100"
+        assert str(ShapeSpec("cond", kappa=4.0 / 3.0)) == "cond:1.3333333333333333"
+        assert str(RadialLaw.student_t(2.0 / 3.0)) == "t:0.6666666666666666"
+        assert sc_config(tol=1e-10).echo(("tol",)) == "# tol=1e-10"
+        assert sc_config(tol=1e-8).echo(("tol",)) == "# tol=1e-08"
 
     def test_shape_materialize(self):
         diag = ShapeSpec.parse("cond:100").materialize(4)
@@ -110,6 +132,32 @@ class TestSampleComplexity:
         failed = out.rows[1]
         assert math.isnan(failed[4]) and failed[6] is False
         assert math.isfinite(out.rows[0][4]) and math.isfinite(out.rows[2][4])
+
+
+class TestEstimationInput:
+    @pytest.mark.parametrize("shape", ["identity", "cond:100", "random:7"])
+    def test_matches_normalized_shaped_directions(self, shape):
+        cfg = sc_config(shape=ShapeSpec.parse(shape))
+        sigma = cfg.shape.materialize(cfg.d)
+        for n, trial in ((16, 0), (32, 3)):
+            directions = sample_sphere_frame(cfg.d, n, SeedSpec(cfg.master_seed, trial))
+            expected = normalize_columns(pd_sqrt(sigma.matrix) @ directions.entries)
+            assert np.array_equal(_estimation_input(cfg, sigma, n, trial),
+                                  expected.entries)
+
+    def test_sweeps_build_no_frame(self, monkeypatch):
+        built = []
+        init = Frame.__init__
+
+        def counted(self, entries):
+            built.append(1)
+            init(self, entries)
+
+        monkeypatch.setattr(Frame, "__init__", counted)
+        run_sample_complexity(sc_config(n_grid=(16,), trials=2))
+        run_convergence(ExperimentConfig(kind="convergence", d=4, n_grid=(16,),
+                                         trials=2, master_seed=9, tol=1e-8))
+        assert built == []
 
 
 class TestConvergence:

@@ -170,6 +170,20 @@ class TestGram:
     def test_gram_of_scaled_frames(self, c):
         self._assert_gram(random_frame(4, 16, 7).scaled(c))
 
+    @pytest.mark.parametrize("d, n", [(1, 3), (4, 16), (16, 64), (64, 1024)])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "transposed"])
+    def test_gram_is_exactly_symmetric(self, d, n, layout):
+        # reports and the flip-flop round read the Gram matrix as it is
+        gen = np.random.default_rng(d * n)
+        if layout == "strided":
+            entries = gen.standard_normal((2 * d, 3 * n))[::2, ::3]
+        elif layout == "transposed":
+            entries = gen.standard_normal((n, d)).T
+        else:
+            entries = np.array(gen.standard_normal((d, n)), order=layout)
+        gram = Frame(entries).gram
+        assert np.array_equal(gram, gram.T)
+
     @given(frame_params)
     @settings(max_examples=30, deadline=None)
     def test_report_equals_defects_of_entries(self, params):
@@ -224,6 +238,14 @@ class TestErrorReport:
         assert np.allclose(rep.norm_error, 0.0)
         assert rep.l2_error == pytest.approx(1.0, rel=1e-14)
         assert rep.op_error == pytest.approx(1.0, rel=1e-14)
+
+    def test_overflowed_gram_is_rejected(self):
+        # a Frame admits entries whose Gram matrix overflows; its report
+        # still refuses to decompose the non-finite defect
+        with np.errstate(all="ignore"):
+            frame = Frame(1e160 * np.eye(2))
+            with pytest.raises(ValueError, match="must be finite"):
+                error_report(frame)
 
     @given(frame_params)
     @settings(max_examples=30, deadline=None)

@@ -20,6 +20,7 @@ from framescale import (
     solve_scaling,
     SeedSpec,
 )
+from framescale import frame as frame_module
 from framescale import scaling
 from framescale.experiments import diagnostics_battery
 from framescale.scaling import IllConditionedError, pd_inv_sqrt, pd_sqrt
@@ -195,6 +196,29 @@ class TestDecompositionCount:
         assert counts == {"eigvalsh": 1}
         assert rep.l2_error <= start.l2_error
         assert rep.size <= start.size
+
+    def test_roundoff_step_reports_from_its_trial(self, monkeypatch):
+        # l2 = 0: the first trial is taken as it stands, and its defects
+        # still become the new frame's report
+        state = FlowState.start(Frame(np.eye(4)))
+        new = gradient_flow_step(state)
+        recomputed = []
+        defects = frame_module._defects
+        monkeypatch.setattr(
+            frame_module, "_defects",
+            lambda mat, gram: recomputed.append(1) or defects(mat, gram))
+        counts = _count_decompositions(monkeypatch)
+        rep = error_report(new.frame)
+        assert counts == {} and recomputed == []
+        assert rep.l2_error == 0.0
+
+    @pytest.mark.parametrize("d, n", [(1, 3), (4, 16), (16, 64), (64, 1024)])
+    def test_flow_trial_defect_is_exactly_symmetric(self, d, n):
+        state = FlowState.start(sample_sphere_frame(d, n, SeedSpec(3, d)))
+        for _ in range(3):
+            state = gradient_flow_step(state)
+            iso = error_report(state.frame).isotropy_error
+            assert np.array_equal(iso, iso.T)
 
     def test_flipflop_round_two_decompositions(self, monkeypatch):
         frame = sample_sphere_frame(16, 64, SeedSpec(0, 1))

@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import re
 
@@ -24,7 +25,7 @@ from framescale import (
     tyler_iterate,
 )
 from framescale import tyler as tyler_module
-from framescale.tyler import _quadratic_forms
+from framescale.tyler import _quadratic_forms, result_to_json
 
 from _oracles import damped_tyler
 
@@ -201,6 +202,23 @@ class TestTylerIterate:
             assert res == pytest.approx(
                 tyler_fixed_point_residual(frame.entries, ShapePD(sigma)),
                 rel=1e-6, abs=1e-14)
+
+
+class TestResultJson:
+    def test_values_parse_back_bit_for_bit(self):
+        data = sample_sphere_frame(4, 16, SeedSpec(8, 0)).entries
+        caps = []
+        result = tyler_iterate(data, observe=lambda t, s, cap, r: caps.append(cap))
+        trace = caps + [-0.0, 0.1 + 0.2, 5e-324, 1.7976931348623157e308, math.nan]
+        payload = json.loads(result_to_json(result, trace))
+
+        def bits(values):
+            return np.asarray(values, dtype=float).view(np.int64)
+
+        assert np.array_equal(bits(payload["sigma_hat"]),
+                              bits(result.sigma_hat.matrix.ravel()))
+        assert bits(payload["residual"]) == bits(result.residual)
+        assert np.array_equal(bits(payload["capacity_trace"]), bits(trace))
 
 
 class TestEstimatorScalingCorrespondence:
