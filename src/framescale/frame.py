@@ -120,6 +120,23 @@ class Frame:
         """Read-only d x d Gram matrix ``entries @ entries.T``."""
         return self._gram
 
+    @classmethod
+    def _iterate(cls, entries: np.ndarray, gram: np.ndarray) -> "Frame":
+        """A solver iterate: keeps ``entries`` and its Gram matrix ``gram``.
+
+        Takes no copy, scans nothing and certifies nothing.  The solvers
+        build every iterate as L V0 diag(R) from a validated frame V0 with
+        L invertible and R positive by construction, so it spans; both
+        arrays are owned by the caller and made read-only here.
+        """
+        entries.setflags(write=False)
+        gram.setflags(write=False)
+        frame = cls.__new__(cls)
+        frame._entries = entries
+        frame._gram = gram
+        frame._report = None
+        return frame
+
     def scaled(self, c: float) -> "Frame":
         """Frame with every entry multiplied by the nonzero scalar c."""
         return Frame(self._entries * float(c))

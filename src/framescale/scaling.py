@@ -156,8 +156,10 @@ class FlowState:
 
     The iterate ``frame`` equals ``left @ V0 * right`` for the input frame
     V0.  ``left`` and ``right`` are kept as plain arrays and validated only
-    when ``scaling`` is requested: the iterate's own spanning certificate
-    already proves ``left`` invertible, since rank(L V0 diag(R)) <= rank(L).
+    when ``scaling`` is requested, and ``frame`` is built by
+    ``Frame._iterate`` with no spanning certificate.  Both are sound by
+    construction: V0 spans, every step multiplies ``left`` by an invertible
+    factor and ``right`` by a positive one, so L V0 diag(R) spans too.
 
     ``int_isotropy_op`` and ``int_norm_op`` accumulate the time integrals of
     the two defect spectral norms along the flow, which bound how far the
@@ -233,7 +235,7 @@ def flip_flop_step(state: FlowState) -> FlowState:
     out *= scale
     return replace(
         state,
-        frame=Frame(out),
+        frame=Frame._iterate(out, out @ out.T),
         left=scale * (left @ state.left),
         right=state.right * right,
         time=state.time + 1.0,
@@ -278,13 +280,14 @@ def gradient_flow_step(state: FlowState) -> FlowState:
         left_factor = np.eye(d) - h * iso
         right_factor = 1.0 - h * norm_err
         new_mat = (left_factor @ mat) * right_factor[None, :]
-        defects = _defects(new_mat, new_mat @ new_mat.T)
+        gram = new_mat @ new_mat.T
+        defects = _defects(new_mat, gram)
         if roundoff or (defects[3] <= rep.l2_error and defects[0] <= s):
             break
         h *= 0.5
         if h * s < _MIN_STEP:
             raise StagnationError(f"flow step underflowed: h*size={h * s:.3e}")
-    new_frame = Frame(new_mat)
+    new_frame = Frame._iterate(new_mat, gram)
     _memoize_report(new_frame, defects)
     return replace(
         state,
@@ -311,7 +314,7 @@ def solve_scaling(frame: Frame, config: SolverConfig | None = None,
     - a zero input column, which no scaling can give the norm of the others;
     - a step that raised (``"<method> step k failed: ..."``): an
       ill-conditioned Gram matrix, a step or size that underflowed, or an
-      iterate that failed validation;
+      iterate whose report is not finite;
     - an accumulated scaling that diverged, which is how a frame with no
       balancing scaling ends.
 
@@ -344,15 +347,16 @@ def solve_scaling(frame: Frame, config: SolverConfig | None = None,
     while failure is None and ratio > config.tol and iters < config.max_iters:
         try:
             new = step(state)
+            # a non-finite iterate fails here, in its report
+            new_rep = error_report(new.frame)
         except (ValueError, IllConditionedError, StagnationError) as exc:
             failure = f"{method} step {iters + 1} failed: {exc}"
             break
         failure = _divergence(new, input_norms, iters + 1, unit)
         if failure is not None:
             break
-        state = new
+        state, rep = new, new_rep
         iters += 1
-        rep = error_report(state.frame)
         ratio = rep.op_error / rep.size
         if observe is not None:
             observe(iters, state.time, rep, state.int_isotropy_op, state.int_norm_op)

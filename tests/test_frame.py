@@ -56,6 +56,37 @@ class TestFrameConstruction:
         with pytest.raises(FrameError):
             Frame(np.ones(4))
 
+    @pytest.mark.parametrize("method", ["flipflop", "flow"])
+    def test_solver_iterates_skip_validation(self, monkeypatch, method):
+        # every iterate comes from Frame._iterate, none from the validating
+        # constructor, which still rejects what it rejected before
+        frame = sample_sphere_frame(16, 64, SeedSpec(0, 1))
+        validated, iterates = [], []
+        init, iterate = Frame.__init__, Frame._iterate.__func__
+
+        def counted_init(self, entries):
+            validated.append(1)
+            init(self, entries)
+
+        def counted_iterate(cls, entries, gram):
+            iterates.append(1)
+            return iterate(cls, entries, gram)
+
+        monkeypatch.setattr(Frame, "__init__", counted_init)
+        monkeypatch.setattr(Frame, "_iterate", classmethod(counted_iterate))
+        result = solve_scaling(frame, method=method)
+        assert result.converged and result.iterations > 1
+        assert len(iterates) == result.iterations
+        assert validated == []
+        assert result.frame.entries.flags.writeable is False
+        assert result.frame.gram.flags.writeable is False
+        entries = result.frame.entries
+        with pytest.raises(NonSpanningError):
+            Frame(np.vstack([entries[:1], entries[:-1]]))
+        with pytest.raises(FrameError):
+            Frame(np.where(entries == entries.max(), np.nan, entries))
+        assert len(validated) == 2
+
     def test_entries_are_read_only(self):
         frame = Frame(np.eye(2))
         with pytest.raises(ValueError):
@@ -195,20 +226,6 @@ class TestGram:
         assert np.array_equal(rep.isotropy_error, iso)
         assert np.array_equal(rep.norm_error, norm_err)
         assert rep.l2_error == l2
-
-    def test_flipflop_solve_builds_one_frame_per_round(self, monkeypatch):
-        frame = sample_sphere_frame(16, 64, SeedSpec(0, 1))
-        built = []
-        init = Frame.__init__
-
-        def counted(self, entries):
-            built.append(1)
-            init(self, entries)
-
-        monkeypatch.setattr(Frame, "__init__", counted)
-        result = solve_scaling(frame, method="flipflop")
-        assert result.iterations > 1
-        assert len(built) == result.iterations
 
 
 class TestSize:

@@ -473,6 +473,26 @@ class TestOneLoop:
         assert flow.converged and flow.iterations > 0
         assert flow.failure is None
 
+    def test_nonfinite_iterate_names_its_step(self, monkeypatch):
+        # iterates are not validated on construction; their report is
+        frame = sample_sphere_frame(4, 16, SeedSpec(703, 1))
+        step = scaling.flip_flop_step
+
+        def overflowing(state):
+            new = step(state)
+            if new.time < 3:
+                return new
+            bad = np.full_like(new.frame.entries, np.inf)
+            return dataclasses.replace(
+                new, frame=Frame._iterate(bad, np.full_like(new.frame.gram, np.inf)))
+
+        monkeypatch.setattr(scaling, "flip_flop_step", overflowing)
+        with np.errstate(all="ignore"):
+            result = solve_scaling(frame, SolverConfig(tol=1e-15), method="flipflop")
+        assert result.failure == "flipflop step 3 failed: matrix entries must be finite"
+        assert result.iterations == 2
+        assert np.all(np.isfinite(result.frame.entries))
+
     @pytest.mark.parametrize("method", ["flipflop", "flow"])
     @pytest.mark.parametrize("light", [1e-9, 1e-12])
     def test_balances_a_far_lighter_column(self, method, light):
