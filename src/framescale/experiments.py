@@ -160,14 +160,20 @@ class DiagnosticsOutput:
     max_rel_error: float
 
 
-def _estimation_input(cfg, sigma, n, trial):
-    """Estimator input for one trial: unit columns of shaped directions.
+def _estimation_model(sigma):
+    """The one model a sweep draws every trial from.
 
     The radial scalars of the elliptical model cancel exactly under column
     normalization, so the constant law serves every radial law bit for bit.
+    """
+    return EllipticalModel(sigma, RadialLaw.constant())
+
+
+def _estimation_input(cfg, model, n, trial):
+    """Estimator input for one trial: unit columns of shaped directions.
+
     The plain array it returns is validated by ``tyler_iterate`` alone.
     """
-    model = EllipticalModel(sigma, RadialLaw.constant())
     data = sample_elliptical(model, n, SeedSpec(cfg.master_seed, trial))
     return data / np.sqrt(column_square_norms(data))
 
@@ -175,6 +181,7 @@ def _estimation_input(cfg, sigma, n, trial):
 def run_sample_complexity(cfg: ExperimentConfig) -> SweepOutput:
     """Relative estimation error versus sample count, one row per trial."""
     sigma = cfg.shape.materialize(cfg.d)
+    model = _estimation_model(sigma)
     lines = [
         "# framescale experiment=sample-complexity",
         cfg.echo(("d", "n_grid", "trials", "radial", "shape", "master_seed", "tol")),
@@ -186,7 +193,7 @@ def run_sample_complexity(cfg: ExperimentConfig) -> SweepOutput:
             raise ValueError(f"every n must be at least d={cfg.d}, got {n}")
         for trial in range(cfg.trials):
             try:
-                data = _estimation_input(cfg, sigma, n, trial)
+                data = _estimation_input(cfg, model, n, trial)
                 result = tyler_iterate(data, tol=cfg.tol)
                 err = relative_op_error(sigma, result.sigma_hat)
                 row = (cfg.d, n, trial, cfg.master_seed, err,
@@ -241,7 +248,7 @@ def run_convergence(cfg: ExperimentConfig) -> SweepOutput:
     n = cfg.n_grid[0]
     if n < 2 * cfg.d:
         raise ValueError(f"convergence experiment needs n >= 2d, got n={n}")
-    sigma = cfg.shape.materialize(cfg.d)
+    model = _estimation_model(cfg.shape.materialize(cfg.d))
     lines = [
         "# framescale experiment=convergence",
         cfg.echo(("d", "n_grid", "trials", "radial", "shape", "master_seed", "tol")),
@@ -250,7 +257,7 @@ def run_convergence(cfg: ExperimentConfig) -> SweepOutput:
     rows = []
     trial_summaries = []
     for trial in range(cfg.trials):
-        data = _estimation_input(cfg, sigma, n, trial)
+        data = _estimation_input(cfg, model, n, trial)
         path = []
         result = tyler_iterate(data, tol=cfg.tol,
                                observe=lambda *point: path.append(point))

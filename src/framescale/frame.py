@@ -64,6 +64,8 @@ class Frame:
     spanning with a wide margin (see ``_full_rank_certified``); only when it
     fails does construction compute the singular values and apply the
     ``1e-12`` test to them, so the verdict is always that of the SVD test.
+    The solvers build their iterates with the private ``_iterate``, which
+    skips these checks.
 
     The d x d Gram matrix V V^T is formed once, at construction, and kept
     read-only as ``gram``: the spanning certificate, ``error_report``, the
@@ -186,8 +188,10 @@ class ErrorReport:
     ``norm_error`` holds the diagonal of n * V^T V - s * I as a length-n
     vector; both are traceless.  ``l2_error`` combines their mean squares.
     ``op_isotropy`` and ``op_norm`` are the two spectral norms, ``op_error``
-    the larger of them, and ``top_isotropy`` the largest eigenvalue of
-    ``isotropy_error``.
+    the larger of them, and ``top_isotropy`` and ``bottom_isotropy`` the
+    largest and smallest eigenvalues of ``isotropy_error``: the extreme
+    eigenvalues of V V^T are (top_isotropy + size) / d and
+    (bottom_isotropy + size) / d.
     """
 
     size: float
@@ -198,6 +202,7 @@ class ErrorReport:
     op_isotropy: float
     op_norm: float
     top_isotropy: float
+    bottom_isotropy: float
 
     def __post_init__(self):
         self.isotropy_error.setflags(write=False)
@@ -262,6 +267,7 @@ def _memoize_report(frame: Frame, defects) -> None:
         op_isotropy=op_iso,
         op_norm=op_norm,
         top_isotropy=float(eigs[-1]),
+        bottom_isotropy=float(eigs[0]),
     )
 
 

@@ -8,6 +8,7 @@ independent streams need no coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -116,6 +117,13 @@ class EllipticalModel:
     sigma: ShapePD
     radial: RadialLaw
 
+    @cached_property
+    def sigma_root(self) -> np.ndarray:
+        """Symmetric square root of the shape, computed on first use and kept."""
+        root = pd_sqrt(self.sigma.matrix)
+        root.setflags(write=False)
+        return root
+
 
 def _sphere_columns(d: int, n: int, gen: np.random.Generator) -> np.ndarray:
     gauss = gen.standard_normal((d, n))
@@ -151,7 +159,7 @@ def sample_elliptical(model: EllipticalModel, n: int, seed: SeedSpec) -> np.ndar
     d = model.sigma.d
     directions = _sphere_columns(d, n, gen)
     radii = model.radial.draw(d, n, gen)
-    return (pd_sqrt(model.sigma.matrix) @ directions) * radii
+    return (model.sigma_root @ directions) * radii
 
 
 def sample_gaussian_frame(d: int, n: int, variance: float, seed: SeedSpec) -> Frame:

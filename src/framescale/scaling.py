@@ -212,19 +212,36 @@ class ScalingResult:
 def flip_flop_step(state: FlowState) -> FlowState:
     """One full alternating round: make V V^T the identity, then unit columns.
 
-    The round L V diag(R) is rescaled by c to size 1 before its one Frame
-    is built, and c L, R are folded into the state's scaling, so rounds stay
-    on the s = 1 scale and their trajectories are comparable with the flow.
-    ``time`` counts rounds.  Raises IllConditionedError when the Gram matrix
-    condition number exceeds 1e14 and DegenerateColumnError on a zero column.
+    The left half step whitens with the inverse Cholesky factor L = C^{-1}
+    of the Gram matrix G = C C^T, which is lower-triangular and makes
+    L V V^T L^T = I.  It is Q G^{-1/2} for an orthogonal Q, so the column
+    norms and every report value are those of the symmetric whitening up
+    to rounding, and Tyler's estimate d (L^T L)^{-1} / tr[.] is the same.
+    The condition guard reads the frame's report, which the solver loop has
+    already made (reports are memoized) and whose extreme isotropy
+    eigenvalues are d lambda(G) - size, so a round does no spectral
+    decomposition of its own.
+
+    The round L V diag(R) is rescaled by c to size 1, and L / sqrt(d) and
+    c sqrt(d) R are folded into the state's scaling: a whitened frame of
+    size 1 has V V^T = I / d, so neither factor drifts from round to round.
+    Rounds stay on the s = 1 scale and their trajectories are comparable
+    with the flow.  ``time`` counts rounds.  The new frame is built without
+    validation: L is invertible (its condition number is at most 1e7 under
+    the guard) and R is positive, so it spans because V does.
+
+    Raises IllConditionedError when the Gram matrix condition number
+    exceeds 1e14 and DegenerateColumnError on a zero column.
     """
     frame = state.frame
-    w, u = np.linalg.eigh(frame.gram)
-    if w[0] <= 0.0 or w[-1] / w[0] > _GRAM_MAX_COND:
-        raise IllConditionedError(
-            f"Gram matrix condition number exceeds {_GRAM_MAX_COND:.0e}"
-        )
-    left = (u / np.sqrt(w)) @ u.T
+    rep = error_report(frame)
+    low = rep.bottom_isotropy + rep.size
+    if not (low > 0.0 and rep.top_isotropy + rep.size <= _GRAM_MAX_COND * low):
+        raise _ill_conditioned()
+    try:
+        left = np.linalg.inv(np.linalg.cholesky(frame.gram))
+    except np.linalg.LinAlgError:
+        raise _ill_conditioned() from None
     iso = left @ frame.entries
     col_sq = column_square_norms(iso)
     if np.any(col_sq <= 0.0):
@@ -233,13 +250,19 @@ def flip_flop_step(state: FlowState) -> FlowState:
     out = iso * right[None, :]
     scale = 1.0 / math.sqrt(float(np.sum(out * out)))
     out *= scale
+    root_d = math.sqrt(frame.d)
     return replace(
         state,
         frame=Frame._iterate(out, out @ out.T),
-        left=scale * (left @ state.left),
-        right=state.right * right,
+        left=(left / root_d) @ state.left,
+        right=state.right * (right * (scale * root_d)),
         time=state.time + 1.0,
     )
+
+
+def _ill_conditioned():
+    return IllConditionedError(
+        f"Gram matrix condition number exceeds {_GRAM_MAX_COND:.0e}")
 
 
 def gradient_flow_step(state: FlowState) -> FlowState:

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from framescale import (
+    EllipticalModel,
     ExperimentConfig,
     Frame,
     RadialLaw,
@@ -19,6 +20,7 @@ from framescale import (
     sample_sphere_frame,
 )
 from framescale.expansion import INFTY_EXACT_MAX_N, UnsupportedConfigError
+from framescale import sampling
 from framescale.experiments import _estimation_input
 from framescale.scaling import pd_sqrt
 
@@ -139,11 +141,24 @@ class TestEstimationInput:
     def test_matches_normalized_shaped_directions(self, shape):
         cfg = sc_config(shape=ShapeSpec.parse(shape))
         sigma = cfg.shape.materialize(cfg.d)
+        model = EllipticalModel(sigma, RadialLaw.constant())
         for n, trial in ((16, 0), (32, 3)):
             directions = sample_sphere_frame(cfg.d, n, SeedSpec(cfg.master_seed, trial))
             expected = normalize_columns(pd_sqrt(sigma.matrix) @ directions.entries)
-            assert np.array_equal(_estimation_input(cfg, sigma, n, trial),
+            assert np.array_equal(_estimation_input(cfg, model, n, trial),
                                   expected.entries)
+
+    def test_sweeps_take_one_root(self, monkeypatch):
+        # the model keeps its root, and each sweep builds one model
+        roots = []
+        root = sampling.pd_sqrt
+        monkeypatch.setattr(sampling, "pd_sqrt",
+                            lambda mat: roots.append(1) or root(mat))
+        run_sample_complexity(sc_config(n_grid=(16, 32), trials=3))
+        assert len(roots) == 1
+        run_convergence(ExperimentConfig(kind="convergence", d=4, n_grid=(16,),
+                                         trials=3, master_seed=9, tol=1e-8))
+        assert len(roots) == 2
 
     def test_sweeps_build_no_frame(self, monkeypatch):
         built = []

@@ -78,9 +78,9 @@ class TestFlipFlopStep:
         new = _round(frame)
         iso = new.left @ frame.entries
         gram = iso @ iso.T
-        # unit columns after the right half step make the size n before the
-        # rescale, so the left factor carries 1/sqrt(n)
-        assert np.allclose(gram, np.eye(3) / 10.0, atol=1e-12)
+        # the left factor carries 1/sqrt(d): a whitened frame of size 1
+        assert np.allclose(gram, np.eye(3) / 3.0, atol=1e-12)
+        assert np.array_equal(new.left, np.tril(new.left))
 
     def test_right_half_step_unit_columns(self):
         frame = sample_sphere_frame(3, 10, SeedSpec(0, 1))
@@ -99,6 +99,33 @@ class TestFlipFlopStep:
         mat = np.array([[1.0, 1.0], [0.0, 1e-8]])
         with pytest.raises(IllConditionedError):
             _round(Frame(mat))
+
+    def test_failed_cholesky_is_ill_conditioned(self, monkeypatch):
+        def breaks(mat):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        frame = sample_sphere_frame(3, 10, SeedSpec(0, 3))
+        monkeypatch.setattr(np.linalg, "cholesky", breaks)
+        with pytest.raises(IllConditionedError, match="exceeds 1e\\+14"):
+            _round(frame)
+
+    @pytest.mark.parametrize("cond, passes", [
+        (1e10, True), (1e13, True), (1e15, False), (1e17, False)])
+    def test_condition_guard(self, cond, passes):
+        # the guard reads cond(G) from the report's isotropy eigenvalues,
+        # which resolve it well inside the two decades around 1e14
+        gen = np.random.default_rng(int(np.log10(cond)))
+        left, _ = np.linalg.qr(gen.standard_normal((4, 4)))
+        right, _ = np.linalg.qr(gen.standard_normal((8, 8)))
+        sigma = np.sqrt(np.geomspace(1.0, 1.0 / cond, 4))
+        frame = Frame((left * sigma) @ right[:4])
+        assert np.linalg.cond(frame.gram) == pytest.approx(cond, rel=0.5)
+        if passes:
+            new = _round(frame)
+            assert new.time == 1.0 and np.all(np.isfinite(new.frame.entries))
+        else:
+            with pytest.raises(IllConditionedError, match="exceeds 1e\\+14"):
+                _round(frame)
 
 
 def _carrying(state, h):
@@ -220,15 +247,32 @@ class TestDecompositionCount:
             iso = error_report(state.frame).isotropy_error
             assert np.array_equal(iso, iso.T)
 
-    def test_flipflop_round_two_decompositions(self, monkeypatch):
-        frame = sample_sphere_frame(16, 64, SeedSpec(0, 1))
+    @pytest.mark.parametrize("d, n", [(4, 16), (16, 64), (64, 1024)])
+    def test_flipflop_solve_one_decomposition_per_round(self, monkeypatch, d, n):
+        # each round whitens with a Cholesky factor and reads the condition
+        # of its Gram matrix from the report the loop already made
+        frame = sample_sphere_frame(d, n, SeedSpec(0, 1))
         counts = _count_decompositions(monkeypatch)
-        new = _round(frame)
-        error_report(new.frame.scaled(0.5))
-        assert counts == {"eigh": 1, "eigvalsh": 1}
+        result = solve_scaling(frame, method="flipflop")
+        assert result.converged and result.iterations > 1
+        assert counts == {"eigvalsh": result.iterations + 1}
 
 
 class TestSolveScaling:
+    def test_flipflop_scalings_do_not_drift(self):
+        # each round folds L / sqrt(d) and c sqrt(d) R, both near the
+        # identity on a whitened frame of size 1; folding c L made the left
+        # scaling shrink by sqrt(d/n) per round until it underflowed
+        frame = sample_sphere_frame(4, 64, SeedSpec(5, 256))
+        early, late = (solve_scaling(frame, SolverConfig(tol=1e-300, max_iters=k))
+                       for k in (60, 600))
+        assert late.failure is None and late.iterations == 600
+        for got, ref in ((late.scaling.left, early.scaling.left),
+                         (late.scaling.right, early.scaling.right)):
+            assert 0.5 <= np.linalg.norm(got) / np.linalg.norm(ref) <= 2.0
+        assert np.allclose(late.scaling.apply(frame.entries), late.frame.entries,
+                           atol=1e-13)
+
     def test_identity_zero_iterations(self):
         result = solve_scaling(Frame(np.eye(4)), SolverConfig(tol=1e-10))
         assert result.converged

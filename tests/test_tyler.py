@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from framescale import (
     DegenerateColumnError,
+    FlowState,
     SeedSpec,
     ShapePD,
     SolverConfig,
     capacity,
     error_report,
     estimator_from_scaling,
+    flip_flop_step,
     normalize_columns,
     relative_op_error,
     sample_sphere_frame,
@@ -259,6 +261,23 @@ class TestEstimatorScalingCorrespondence:
             __import__("framescale").Frame(pair.apply(THREE_COLS))
         )
         assert rep.op_error / rep.size <= 1e-6
+
+    @pytest.mark.parametrize("d, n", [(4, 16), (16, 64), (16, 4096)])
+    def test_flipflop_rounds_are_tyler_iterates(self, d, n):
+        # round t of flip-flop on unit columns is Tyler iterate S_t; the
+        # bound, 1e-13 relative in the Frobenius norm, was fixed before the
+        # run: the two accumulate different but benign rounding
+        frame = sample_sphere_frame(d, n, SeedSpec(1601, d * n))
+        iterates = []
+        tyler_iterate(frame.entries, tol=1e-300, max_iters=11,
+                      observe=_keep_iterates(iterates))
+        assert len(iterates) == 12
+        state = FlowState.start(frame)
+        for t, sigma in enumerate(iterates):
+            if t:
+                state = flip_flop_step(state)
+            got = estimator_from_scaling(state.left).matrix
+            assert np.linalg.norm(got - sigma) <= 1e-13 * np.linalg.norm(sigma), t
 
     def test_cross_validation_with_solve_scaling(self):
         for stream in range(5):
