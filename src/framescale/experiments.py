@@ -160,19 +160,13 @@ class DiagnosticsOutput:
     max_rel_error: float
 
 
-def _estimation_model(sigma):
-    """The one model a sweep draws every trial from.
-
-    The radial scalars of the elliptical model cancel exactly under column
-    normalization, so the constant law serves every radial law bit for bit.
-    """
-    return EllipticalModel(sigma, RadialLaw.constant())
-
-
 def _estimation_input(cfg, model, n, trial):
     """Estimator input for one trial: unit columns of shaped directions.
 
-    The plain array it returns is validated by ``tyler_iterate`` alone.
+    The radial scalars of the elliptical model cancel exactly under column
+    normalization, so a sweep builds one model with the constant law, which
+    serves every radial law bit for bit.  The plain array it returns is
+    validated by ``tyler_iterate`` alone.
     """
     data = sample_elliptical(model, n, SeedSpec(cfg.master_seed, trial))
     return data / np.sqrt(column_square_norms(data))
@@ -181,7 +175,7 @@ def _estimation_input(cfg, model, n, trial):
 def run_sample_complexity(cfg: ExperimentConfig) -> SweepOutput:
     """Relative estimation error versus sample count, one row per trial."""
     sigma = cfg.shape.materialize(cfg.d)
-    model = _estimation_model(sigma)
+    model = EllipticalModel(sigma, RadialLaw.constant())
     lines = [
         "# framescale experiment=sample-complexity",
         cfg.echo(("d", "n_grid", "trials", "radial", "shape", "master_seed", "tol")),
@@ -248,7 +242,7 @@ def run_convergence(cfg: ExperimentConfig) -> SweepOutput:
     n = cfg.n_grid[0]
     if n < 2 * cfg.d:
         raise ValueError(f"convergence experiment needs n >= 2d, got n={n}")
-    model = _estimation_model(cfg.shape.materialize(cfg.d))
+    model = EllipticalModel(cfg.shape.materialize(cfg.d), RadialLaw.constant())
     lines = [
         "# framescale experiment=convergence",
         cfg.echo(("d", "n_grid", "trials", "radial", "shape", "master_seed", "tol")),

@@ -18,6 +18,7 @@ from .frame import (
     _EPS,
     _TINY,
     DegenerateColumnError,
+    ErrorReport,
     Frame,
     _defects,
     _full_rank_certified,
@@ -209,7 +210,8 @@ class ScalingResult:
     failure: str | None = None
 
 
-def flip_flop_step(state: FlowState) -> FlowState:
+def flip_flop_step(state: FlowState,
+                   report: ErrorReport | None = None) -> FlowState:
     """One full alternating round: make V V^T the identity, then unit columns.
 
     The left half step whitens with the inverse Cholesky factor L = C^{-1}
@@ -217,8 +219,8 @@ def flip_flop_step(state: FlowState) -> FlowState:
     L V V^T L^T = I.  It is Q G^{-1/2} for an orthogonal Q, so the column
     norms and every report value are those of the symmetric whitening up
     to rounding, and Tyler's estimate d (L^T L)^{-1} / tr[.] is the same.
-    The condition guard reads the frame's report, which the solver loop has
-    already made (reports are memoized) and whose extreme isotropy
+    The condition guard reads the frame's ``report``, which the solver loop
+    hands over (it is computed when not given) and whose extreme isotropy
     eigenvalues are d lambda(G) - size, so a round does no spectral
     decomposition of its own.
 
@@ -234,7 +236,7 @@ def flip_flop_step(state: FlowState) -> FlowState:
     exceeds 1e14 and DegenerateColumnError on a zero column.
     """
     frame = state.frame
-    rep = error_report(frame)
+    rep = error_report(frame) if report is None else report
     low = rep.bottom_isotropy + rep.size
     if not (low > 0.0 and rep.top_isotropy + rep.size <= _GRAM_MAX_COND * low):
         raise _ill_conditioned()
@@ -265,7 +267,8 @@ def _ill_conditioned():
         f"Gram matrix condition number exceeds {_GRAM_MAX_COND:.0e}")
 
 
-def gradient_flow_step(state: FlowState) -> FlowState:
+def gradient_flow_step(state: FlowState,
+                       report: ErrorReport | None = None) -> FlowState:
     """Advance the balancing flow by one first-order step.
 
     The frame update is the multiplicative first-order integrator
@@ -281,9 +284,11 @@ def gradient_flow_step(state: FlowState) -> FlowState:
     so a rejected trial costs the trial product, its Gram matrix and no
     decomposition; the accepted trial's defects become the new frame's
     report.  Once the l2 defect is at round-off level the first trial is
-    taken as it stands.  Every rule is invariant under V -> cV.
+    taken as it stands.  Every rule is invariant under V -> cV.  ``report``
+    is the frame's, as the solver loop hands it over; it is computed when
+    not given.
     """
-    rep = error_report(state.frame)
+    rep = error_report(state.frame) if report is None else report
     s = rep.size
     mat = state.frame.entries
     d, n = mat.shape
@@ -329,7 +334,8 @@ def solve_scaling(frame: Frame, config: SolverConfig | None = None,
     """Find scalings (L, R) making L V diag(R) doubly balanced.
 
     Both methods run one loop over a ``FlowState``; the method picks only
-    the step, ``flip_flop_step`` or ``gradient_flow_step``.  The loop
+    the step, ``flip_flop_step`` or ``gradient_flow_step``, which the loop
+    hands the state and its frame's report.  The loop
     terminates when op_error / size drops to config.tol.  Otherwise the
     last valid iterate is returned with converged=False, and ``failure``
     names the cause unless only the budget ran out:
@@ -369,7 +375,7 @@ def solve_scaling(frame: Frame, config: SolverConfig | None = None,
         failure = str(DegenerateColumnError(int(np.argmin(input_norms))))
     while failure is None and ratio > config.tol and iters < config.max_iters:
         try:
-            new = step(state)
+            new = step(state, rep)
             # a non-finite iterate fails here, in its report
             new_rep = error_report(new.frame)
         except (ValueError, IllConditionedError, StagnationError) as exc:

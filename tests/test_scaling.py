@@ -487,15 +487,17 @@ class TestOneLoop:
         assert len(validations) == 1
 
     def test_steps_are_looked_up_by_name(self, monkeypatch):
-        # a wrapper on the module attribute sees every step of a solve
+        # a wrapper on the module attribute sees every step of a solve, and
+        # each step is handed its own frame's report
         frame = sample_sphere_frame(16, 64, SeedSpec(703, 0))
         calls = {}
         for name in ("flip_flop_step", "gradient_flow_step"):
             step = getattr(scaling, name)
 
-            def counted(state, _name=name, _step=step):
+            def counted(state, report, _name=name, _step=step):
                 calls[_name] = calls.get(_name, 0) + 1
-                return _step(state)
+                assert report is error_report(state.frame)
+                return _step(state, report)
 
             monkeypatch.setattr(scaling, name, counted)
         for method, name in (("flipflop", "flip_flop_step"),
@@ -522,8 +524,8 @@ class TestOneLoop:
         frame = sample_sphere_frame(4, 16, SeedSpec(703, 1))
         step = scaling.flip_flop_step
 
-        def overflowing(state):
-            new = step(state)
+        def overflowing(state, report):
+            new = step(state, report)
             if new.time < 3:
                 return new
             bad = np.full_like(new.frame.entries, np.inf)
