@@ -52,7 +52,6 @@ from .expansion import (
     InftyExpansionResult,
     PseudorandomResult,
     QuantumExpansionResult,
-    SubsetProbe,
     build_expansion_report,
     cheeger_constant,
     infty_expansion_exact,

@@ -16,6 +16,9 @@ run on one subset kernel that decomposes only the subsets an LDL^T test
 cannot rule out, with the values and witnesses of decomposing every subset.
 The Cheeger-style bottleneck quantity links infinity expansion to quantum
 expansion for doubly balanced frames.
+
+Each result carries the witness attaining its value: subsets as tuples of
+0-based column indices (Python ints), vectors and bases as read-only arrays.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .frame import Frame, column_square_norms, error_report
 from .sampling import SeedSpec
 
 __all__ = [
-    "SubsetProbe",
     "QuantumExpansionResult",
     "InftyExpansionResult",
     "PseudorandomResult",
@@ -79,51 +81,23 @@ class BalanceRequiredError(ValueError):
 
 
 @dataclass(frozen=True)
-class SubsetProbe:
-    """Witness attaining an expansion extremum.
-
-    ``y`` is a zero-sum test vector (sign vertex or unit-l2 direction),
-    ``subset`` holds 0-based column indices, and the subspace fields
-    describe the projector of a Cheeger probe.
-    """
-
-    y: np.ndarray | None = None
-    subset: tuple | None = None
-    subspace_dim: int | None = None
-    subspace_basis: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.y is not None:
-            y = np.array(self.y, dtype=float)
-            total = abs(float(np.sum(y)))
-            if total > 1e-12 * max(1.0, float(np.sum(np.abs(y)))):
-                raise ValueError("test vector must be orthogonal to the ones vector")
-            y.setflags(write=False)
-            object.__setattr__(self, "y", y)
-        if self.subset is not None:
-            subset = tuple(int(j) for j in self.subset)
-            if len(set(subset)) != len(subset) or any(j < 0 for j in subset):
-                raise ValueError("subset indices must be distinct and nonnegative")
-            object.__setattr__(self, "subset", subset)
-        if self.subspace_basis is not None:
-            basis = np.array(self.subspace_basis, dtype=float)
-            basis.setflags(write=False)
-            object.__setattr__(self, "subspace_basis", basis)
-
-
-@dataclass(frozen=True)
 class QuantumExpansionResult:
+    """``y`` is the unit-l2 zero-sum test vector attaining ``sup``."""
+
     lam: float
     sup: float
-    witness: SubsetProbe
+    y: np.ndarray
 
 
 @dataclass(frozen=True)
 class InftyExpansionResult:
+    """``y`` = 1 - 2*1_B for B = ``subset`` is the vertex attaining ``sup``."""
+
     lam: float
     sup: float
     mode: str
-    witness: SubsetProbe
+    subset: tuple
+    y: np.ndarray
     subsets_checked: int
 
 
@@ -133,15 +107,20 @@ class PseudorandomResult:
     alpha_max: float
     beta: Fraction
     mode: str
-    witness_min: SubsetProbe
-    witness_max: SubsetProbe
+    subset_min: tuple
+    subset_max: tuple
     subsets_checked: int
 
 
 @dataclass(frozen=True)
 class CheegerResult:
+    """``subset`` and the span A of the ``k`` columns of ``basis`` attain
+    ``value``; ``basis`` is None when k = 0."""
+
     value: float
-    witness: SubsetProbe
+    subset: tuple
+    k: int
+    basis: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -366,8 +345,9 @@ def quantum_expansion_exact(frame: Frame) -> QuantumExpansionResult:
         _, svals, vt = np.linalg.svd(outer_map @ basis)
         sup = float(svals[0])
         y = basis @ vt[0]
+    y.setflags(write=False)
     lam = 1.0 - sup * math.sqrt(d * n) / s
-    return QuantumExpansionResult(lam=lam, sup=sup, witness=SubsetProbe(y=y))
+    return QuantumExpansionResult(lam=lam, sup=sup, y=y)
 
 
 def _infty_expansion(frame, blocks, mode, checked):
@@ -377,11 +357,13 @@ def _infty_expansion(frame, blocks, mode, checked):
     best, best_subset = _SubsetKernel(frame).max_vertex_norm(blocks)
     signs = np.ones(n)
     signs[best_subset] = -1.0
+    signs.setflags(write=False)
     return InftyExpansionResult(
         lam=1.0 - d * best / s,
         sup=best,
         mode=mode,
-        witness=SubsetProbe(y=signs, subset=tuple(best_subset)),
+        subset=tuple(best_subset.tolist()),
+        y=signs,
         subsets_checked=checked,
     )
 
@@ -476,8 +458,8 @@ def pseudorandom_check(frame: Frame, beta, mode: str = "exact",
         alpha_max=scale * hi,
         beta=frac,
         mode=mode,
-        witness_min=SubsetProbe(subset=tuple(lo_subset)),
-        witness_max=SubsetProbe(subset=tuple(hi_subset)),
+        subset_min=tuple(lo_subset.tolist()),
+        subset_max=tuple(hi_subset.tolist()),
         subsets_checked=checked,
     )
 
@@ -571,12 +553,9 @@ def cheeger_constant(frame: Frame) -> CheegerResult:
         sub = entries[:, best_subset]
         _, vecs = np.linalg.eigh(gram - 2.0 * (sub @ sub.T))
         basis = vecs[:, :best_k]
-    return CheegerResult(
-        value=max(best, 0.0),
-        witness=SubsetProbe(
-            subset=tuple(best_subset), subspace_dim=best_k, subspace_basis=basis
-        ),
-    )
+        basis.setflags(write=False)
+    return CheegerResult(value=max(best, 0.0), subset=tuple(best_subset.tolist()),
+                         k=best_k, basis=basis)
 
 
 def infty_implies_quantum_check(frame: Frame) -> ChainReport:
@@ -661,9 +640,9 @@ def build_expansion_report(frame: Frame, mode: str = "exact", beta=Fraction(1, 2
         lambda_infty=infty.lam,
         alpha_min=pseudo.alpha_min,
         alpha_max=pseudo.alpha_max,
-        witness_infty=infty.witness.subset,
-        witness_alpha_min=pseudo.witness_min.subset,
-        witness_alpha_max=pseudo.witness_max.subset,
+        witness_infty=infty.subset,
+        witness_alpha_min=pseudo.subset_min,
+        witness_alpha_max=pseudo.subset_max,
         subsets_checked=infty.subsets_checked,
         seed=None if seed is None else {
             "master_seed": seed.master_seed, "stream_index": seed.stream_index,
@@ -679,7 +658,7 @@ def build_expansion_report(frame: Frame, mode: str = "exact", beta=Fraction(1, 2
         else:
             report.cheeger = ch.value
             report.witness_cheeger = {
-                "subset": list(ch.witness.subset),
-                "subspace_dim": ch.witness.subspace_dim,
+                "subset": list(ch.subset),
+                "subspace_dim": ch.k,
             }
     return report

@@ -27,7 +27,6 @@ from framescale import (
 from framescale.expansion import (
     CHAIN_FP_TOL,
     BalanceRequiredError,
-    SubsetProbe,
     UnsupportedConfigError,
     _combo_chunks,
     _sampled_subsets,
@@ -64,16 +63,6 @@ def balanced_sphere(d, n, stream):
     return result.frame
 
 
-class TestSubsetProbe:
-    def test_rejects_unbalanced_test_vector(self):
-        with pytest.raises(ValueError):
-            SubsetProbe(y=np.array([1.0, 1.0]))
-
-    def test_rejects_duplicate_indices(self):
-        with pytest.raises(ValueError):
-            SubsetProbe(subset=(1, 1))
-
-
 class TestQuantumExpansion:
     def test_repeated_single_direction(self):
         result = quantum_expansion_exact(Frame([[1.0, 1.0]]))
@@ -91,13 +80,14 @@ class TestQuantumExpansion:
     def test_witness_attains_sup(self):
         frame = sample_sphere_frame(3, 8, SeedSpec(70, 0))
         result = quantum_expansion_exact(frame)
-        y = result.witness.y
+        y = result.y
         attained = np.linalg.norm(
             (frame.entries * y[None, :]) @ frame.entries.T
         )
         assert attained == pytest.approx(result.sup, rel=1e-10)
         assert abs(np.sum(y)) <= 1e-10
         assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-10)
+        assert not y.flags.writeable
 
     @pytest.mark.parametrize("frame", [
         *(sample_sphere_frame(min(n, 3), n, SeedSpec(71, n))
@@ -120,7 +110,7 @@ class TestQuantumExpansion:
         result = quantum_expansion_exact(frame)
         assert result.lam == lam
         assert result.sup == sup
-        assert np.array_equal(result.witness.y, y)
+        assert np.array_equal(result.y, y)
 
 
 class TestInftyExpansion:
@@ -156,11 +146,16 @@ class TestInftyExpansion:
     def test_witness_attains_sup(self):
         frame = sample_sphere_frame(3, 10, SeedSpec(70, 5))
         result = infty_expansion_exact(frame)
-        signs = result.witness.y
+        signs = result.y
         mat = (frame.entries * signs[None, :]) @ frame.entries.T
         assert np.max(np.abs(np.linalg.eigvalsh(mat))) == pytest.approx(
             result.sup, rel=1e-12
         )
+        assert not signs.flags.writeable
+        # B holds n/2 distinct indices, as ints, and y = 1 - 2*1_B
+        assert [type(j) for j in result.subset] == [int] * (frame.n // 2)
+        assert (list(result.subset) == sorted(set(result.subset))
+                == np.flatnonzero(signs < 0).tolist())
 
 
 class TestInftySampled:
@@ -186,7 +181,7 @@ class TestInftySampled:
         frame = sample_sphere_frame(3, 10, SeedSpec(71, 9))
         a = infty_expansion_sampled(frame, 32, SeedSpec(75, 0))
         b = infty_expansion_sampled(frame, 32, SeedSpec(75, 0))
-        assert a.lam == b.lam and a.witness.subset == b.witness.subset
+        assert a.lam == b.lam and a.subset == b.subset
 
 
 class TestPseudorandom:
@@ -199,7 +194,7 @@ class TestPseudorandom:
         frame = Frame(np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]]))
         result = pseudorandom_check(frame, Fraction(1, 2))
         assert result.alpha_min == 0.0
-        assert result.witness_min.subset in ((0, 1), (2, 3))
+        assert result.subset_min in ((0, 1), (2, 3))
 
     def test_equiangular_closed_form(self):
         result = pseudorandom_check(equiangular4(), Fraction(1, 2))
@@ -334,11 +329,12 @@ class TestCheeger:
         entries = frame.entries
         d = frame.d
         s = error_report(frame).size
-        subset = list(result.witness.subset)
-        k = result.witness.subspace_dim
+        subset = list(result.subset)
+        k = result.k
         cols = entries[:, subset] if subset else np.zeros((d, 0))
         if k:
-            basis = result.witness.subspace_basis
+            basis = result.basis
+            assert not basis.flags.writeable
             proj = basis @ basis.T
         else:
             proj = np.zeros((d, d))
@@ -426,7 +422,7 @@ class TestInvariances:
                 np.max(np.abs(np.linalg.eigvalsh(mats)))
             )
             assert sup_random <= exact.sup + 1e-9
-            with_witness = np.vstack([ys, exact.witness.y])
+            with_witness = np.vstack([ys, exact.y])
             mats = (entries[None, :, :] * with_witness[:, None, :]) @ entries.T
             sup_all = float(np.max(np.abs(np.linalg.eigvalsh(mats))))
             assert sup_all == pytest.approx(exact.sup, abs=1e-9)
@@ -522,7 +518,7 @@ class TestSubsetKernel:
             infty = infty_expansion_exact(frame)
         else:
             infty = infty_expansion_sampled(frame, KERNEL_TRIALS, SeedSpec(92, 0))
-        assert (infty.lam, infty.witness.subset) == _full_infty(
+        assert (infty.lam, infty.subset) == _full_infty(
             entries, _all_subsets(n, n // 2, mode, 0))
         for stream, beta in enumerate((Fraction(1, 4), Fraction(1, 2)), start=1):
             if mode == "exact":
@@ -532,9 +528,12 @@ class TestSubsetKernel:
                                             trials=KERNEL_TRIALS,
                                             seed=SeedSpec(92, stream))
             got = (pseudo.alpha_min, pseudo.alpha_max,
-                   pseudo.witness_min.subset, pseudo.witness_max.subset)
+                   pseudo.subset_min, pseudo.subset_max)
             assert got == _full_pseudo(
                 entries, _all_subsets(n, int(beta * n), mode, stream), beta)
+            # each subset holds beta n distinct indices, as ints
+            assert all([type(j) for j in set(subset)] == [int] * int(beta * n)
+                       for subset in got[2:])
 
     def test_exact_certificates_decompose_few_matrices(self, monkeypatch):
         frame = sample_sphere_frame(4, 16, SeedSpec(93, 0))
