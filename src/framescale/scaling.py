@@ -347,13 +347,21 @@ def solve_scaling(frame: Frame, config: SolverConfig | None = None,
     - an accumulated scaling that diverged, which is how a frame with no
       balancing scaling ends.
 
-    The returned scaling is validated once, here, not on every step.
+    The loop runs on the input multiplied by the power of two c that puts
+    its size in [1/2, 2), and c is undone on the way out: the flow's frame
+    is divided by c, and flip-flop's left scaling, whose rounds are at size
+    1 whatever the input's, is multiplied by c.  A power of two commutes
+    exactly with every operation of a step, so where neither scale under-
+    or overflows the numbers are those of solving the raw frame, bitwise,
+    and at sizes from 1e-300 to 1e300 a solve takes about the steps it
+    takes at size 1.  A solve that takes no step returns its input.  The
+    returned scaling is validated once, here, not on every step.
 
     ``observe(iteration, time, report, int_isotropy_op, int_norm_op)``, when
     given, is called after every step with the step count, the time so far
     (flow time for the flow, the round count for flip-flop), the
-    ``ErrorReport`` of the new frame and the two defect integrals (zero for
-    flip-flop).
+    ``ErrorReport`` of the new frame, at the scale the solve would return
+    it, and the two defect integrals (zero for flip-flop).
     """
     if config is None:
         config = SolverConfig()
@@ -365,11 +373,19 @@ def solve_scaling(frame: Frame, config: SolverConfig | None = None,
         step, unit = gradient_flow_step, "steps"
     else:
         raise ValueError(f"method must be 'flipflop' or 'flow', got {method!r}")
-    rep = error_report(frame)
+    # the raw frame's defects may over- or underflow, its column norms not
+    _, exp = math.frexp(float(column_square_norms(frame.entries).sum()))
+    c = math.ldexp(1.0, -(exp // 2))
+    entries = frame.entries * c
+    start = Frame._iterate(entries, frame.gram * (c * c))
+    # the flow's sizes, defects and times scale with the input's
+    shrink = c * c if method == "flow" else 1.0
+    rep = error_report(start)
     ratio = rep.op_error / rep.size
-    state = FlowState.start(frame)
-    input_norms = np.sqrt(column_square_norms(frame.entries))
+    state = FlowState.start(start)
+    input_norms = np.sqrt(column_square_norms(entries))
     iters = 0
+    raw_rep = None
     failure = None
     if ratio > config.tol and np.any(input_norms == 0.0):
         failure = str(DegenerateColumnError(int(np.argmin(input_norms))))
@@ -388,16 +404,41 @@ def solve_scaling(frame: Frame, config: SolverConfig | None = None,
         iters += 1
         ratio = rep.op_error / rep.size
         if observe is not None:
-            observe(iters, state.time, rep, state.int_isotropy_op, state.int_norm_op)
+            raw_rep = _unscaled(rep, shrink)
+            observe(iters, state.time * shrink, raw_rep, state.int_isotropy_op,
+                    state.int_norm_op)
+    out, left = frame, state.left
+    if iters and method == "flow":
+        out = Frame._iterate(state.frame.entries / c, state.frame.gram / shrink)
+        out._report = raw_rep if observe is not None else _unscaled(rep, shrink)
+    elif iters:
+        out, left = state.frame, left * c
     return ScalingResult(
-        scaling=state.scaling,
-        frame=state.frame,
+        scaling=ScalingPair(left, state.right),
+        frame=out,
         converged=ratio <= config.tol,
         iterations=iters,
         final_ratio=ratio,
         method=method,
         scaling_bound=_accumulation_bound(state) if method == "flow" else None,
         failure=failure,
+    )
+
+
+def _unscaled(rep, shrink):
+    """The report of V / sqrt(shrink) from ``rep``, that of V."""
+    if shrink == 1.0:
+        return rep
+    return ErrorReport(
+        size=rep.size / shrink,
+        isotropy_error=rep.isotropy_error / shrink,
+        norm_error=rep.norm_error / shrink,
+        l2_error=rep.l2_error / shrink / shrink,
+        op_error=rep.op_error / shrink,
+        op_isotropy=rep.op_isotropy / shrink,
+        op_norm=rep.op_norm / shrink,
+        top_isotropy=rep.top_isotropy / shrink,
+        bottom_isotropy=rep.bottom_isotropy / shrink,
     )
 
 

@@ -59,7 +59,8 @@ class TestFrameConstruction:
     @pytest.mark.parametrize("method", ["flipflop", "flow"])
     def test_solver_iterates_skip_validation(self, monkeypatch, method):
         # every iterate comes from Frame._iterate, none from the validating
-        # constructor, which still rejects what it rejected before
+        # constructor, which still rejects what it rejected before; so do
+        # the input rescaled to size about 1 and the flow's frame scaled back
         frame = sample_sphere_frame(16, 64, SeedSpec(0, 1))
         validated, iterates = [], []
         init, iterate = Frame.__init__, Frame._iterate.__func__
@@ -76,7 +77,7 @@ class TestFrameConstruction:
         monkeypatch.setattr(Frame, "_iterate", classmethod(counted_iterate))
         result = solve_scaling(frame, method=method)
         assert result.converged and result.iterations > 1
-        assert len(iterates) == result.iterations
+        assert len(iterates) == result.iterations + (2 if method == "flow" else 1)
         assert validated == []
         assert result.frame.entries.flags.writeable is False
         assert result.frame.gram.flags.writeable is False

@@ -389,7 +389,8 @@ class TestSolveScaling:
     def test_flow_step_count_does_not_depend_on_size(self):
         frame = sample_sphere_frame(4, 16, SeedSpec(2, 4))
         steps = []
-        for s0 in (1e-3, 0.2, 1.0, 5.0, 40.0):
+        for s0 in (1e-300, 1e-200, 1e-160, 1e-3, 0.2, 1.0, 5.0, 40.0,
+                   1e160, 1e200, 1e300):
             scaled = frame.scaled(math.sqrt(s0 / size(frame)))
             result = solve_scaling(scaled, SolverConfig(tol=1e-9), method="flow")
             assert result.converged, s0
@@ -400,11 +401,44 @@ class TestSolveScaling:
         frame = sample_sphere_frame(4, 16, SeedSpec(2, 4))
         frame = frame.scaled(1.0 / math.sqrt(size(frame)))
         rounds = []
-        for s0 in (1.0, 1e-200, 1e-300):
+        for s0 in (1.0, 1e-200, 1e-300, 1e200, 1e300):
             result = solve_scaling(frame.scaled(math.sqrt(s0)), method="flipflop")
             assert result.converged, s0
             rounds.append(result.iterations)
-        assert rounds == [49, 49, 49]
+        assert rounds == [49] * 5
+
+    @pytest.mark.parametrize("method", ["flipflop", "flow"])
+    @pytest.mark.parametrize("power", [-500, 499])
+    def test_results_come_back_at_raw_scale_bitwise(self, method, power):
+        # entries times c = 2^power: the solve is the same one, and its
+        # frame, scalings, times and reports carry c exactly
+        frame = sample_sphere_frame(4, 16, SeedSpec(2, 4))
+        c = math.ldexp(1.0, power)
+        runs = []
+        for f in (frame, frame.scaled(c)):
+            seen = []
+            result = solve_scaling(f, SolverConfig(tol=1e-9), method=method,
+                                   observe=lambda *point: seen.append(point))
+            assert result.converged
+            runs.append((result, seen))
+        (ref, ref_seen), (got, got_seen) = runs
+        assert got.iterations == ref.iterations and got.final_ratio == ref.final_ratio
+        assert np.array_equal(got.scaling.right, ref.scaling.right)
+        if method == "flow":
+            assert np.array_equal(got.frame.entries, c * ref.frame.entries)
+            assert np.array_equal(got.scaling.left, ref.scaling.left)
+            assert got.scaling_bound == ref.scaling_bound
+            for (_, t, rep, *ints), (_, t_ref, rep_ref, *ints_ref) in zip(
+                    got_seen, ref_seen):
+                assert t == t_ref / (c * c) and ints == ints_ref
+                assert (rep.size, rep.op_error) == (c * c * rep_ref.size,
+                                                    c * c * rep_ref.op_error)
+                assert np.array_equal(rep.isotropy_error,
+                                      c * c * rep_ref.isotropy_error)
+        else:
+            assert np.array_equal(got.frame.entries, ref.frame.entries)
+            assert np.array_equal(got.scaling.left, ref.scaling.left / c)
+            assert [p[:2] for p in got_seen] == [p[:2] for p in ref_seen]
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-10, 1e-11, 1e-12])
     def test_flow_reaches_deep_tolerances(self, tol):
