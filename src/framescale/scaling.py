@@ -373,7 +373,7 @@ def solve_scaling(frame: Frame, config: SolverConfig | None = None,
         step, unit = gradient_flow_step, "steps"
     else:
         raise ValueError(f"method must be 'flipflop' or 'flow', got {method!r}")
-    # the raw frame's defects may over- or underflow, its column norms not
+    # the raw frame's squared defects may over- or underflow where its size does not
     _, exp = math.frexp(float(column_square_norms(frame.entries).sum()))
     c = math.ldexp(1.0, -(exp // 2))
     entries = frame.entries * c

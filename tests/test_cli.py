@@ -7,6 +7,7 @@ from framescale import (
     FlowState,
     Frame,
     SeedSpec,
+    build_expansion_report,
     gradient_flow_step,
     load_frame,
     sample_sphere_frame,
@@ -166,6 +167,15 @@ class TestExpansion:
         ])
         assert code == 0
         assert json.loads(out.read_text())["mode"] == "sampled"
+
+    def test_input_file(self, tmp_path):
+        path = tmp_path / "frame.txt"
+        save_matrix_text(path, sample_sphere_frame(4, 8, SeedSpec(5, 1)))
+        out = tmp_path / "exp.json"
+        assert main(["expansion", "--input", str(path), "--seed", "7",
+                     "--json", str(out)]) == 0
+        assert out.read_text() == build_expansion_report(
+            load_frame(path), seed=SeedSpec(7, 1)).to_json()
 
     def test_odd_n_exact_is_config_error(self):
         assert main(["expansion", "--d", "3", "--n", "7", "--mode", "exact"]) == 2

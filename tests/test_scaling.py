@@ -23,7 +23,13 @@ from framescale import (
 from framescale import frame as frame_module
 from framescale import scaling
 from framescale.experiments import diagnostics_battery
-from framescale.scaling import IllConditionedError, pd_inv_sqrt, pd_sqrt
+from framescale.frame import DegenerateColumnError
+from framescale.scaling import (
+    IllConditionedError,
+    StagnationError,
+    pd_inv_sqrt,
+    pd_sqrt,
+)
 
 TWO_HEAVY = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -127,6 +133,11 @@ class TestFlipFlopStep:
             with pytest.raises(IllConditionedError, match="exceeds 1e\\+14"):
                 _round(frame)
 
+    def test_zero_column_is_degenerate(self):
+        with pytest.raises(DegenerateColumnError) as info:
+            _round(Frame([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        assert info.value.column == 2
+
 
 def _carrying(state, h):
     """The state with last step h / 2, so the controller first tries h."""
@@ -134,6 +145,13 @@ def _carrying(state, h):
 
 
 class TestGradientFlowStep:
+    def test_underflowed_size_stagnates(self):
+        # solve_scaling rescales its input first; the public step does not
+        frame = sample_sphere_frame(4, 16, SeedSpec(2, 4))
+        tiny = frame.scaled(math.sqrt(1e-300 / size(frame)))
+        with pytest.raises(StagnationError, match="frame size underflowed"):
+            gradient_flow_step(FlowState.start(tiny))
+
     def test_balanced_fixed_point(self):
         state = FlowState.start(Frame(np.eye(3) / math.sqrt(3.0)))
         nxt = gradient_flow_step(state)
