@@ -186,7 +186,7 @@ def _cmd_scale(args):
     observe = None
     if args.csv is not None:
         rows = []
-        last = (0.0, error_report(frame), 0.0, 0.0)
+        last = None
 
         def observe(t, *point):
             nonlocal last
@@ -197,6 +197,8 @@ def _cmd_scale(args):
 
     result = solve_scaling(frame, config, method=args.method, observe=observe)
     if args.csv is not None:
+        if not result.iterations:
+            last = (0.0, error_report(frame), 0.0, 0.0)
         if last is not None:
             rows.append(_trajectory_row(*last))
         _emit(_TRAJECTORY_HEADER + "\n" + "\n".join(rows) + "\n", args.csv)

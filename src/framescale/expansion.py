@@ -11,11 +11,11 @@ Three related notions are certified here for a frame V of size s:
   column-subset Gram matrices of a fixed fraction beta.
 
 Exact certificates enumerate every subset (or reduce to one SVD); sampled
-certificates visit random subsets and are one-sided by construction.  Both
-run on one subset kernel that decomposes only the subsets an LDL^T test
-cannot rule out, with the values and witnesses of decomposing every subset.
-The Cheeger-style bottleneck quantity links infinity expansion to quantum
-expansion for doubly balanced frames.
+certificates visit random subsets and are one-sided by construction.  All
+subset certificates, the Cheeger-style bottleneck quantity included, run on
+one kernel that decomposes only the subsets an LDL^T test cannot rule out,
+with the values and witnesses of decomposing every subset.  That quantity
+links infinity expansion to quantum expansion for doubly balanced frames.
 
 Each result carries the witness attaining its value: subsets as tuples of
 0-based column indices (Python ints), vectors and bases as read-only arrays.
@@ -169,11 +169,8 @@ def _combo_chunks(n, k, chunk=_CHUNK):
 
 def _vertex_op_norms(entries, subsets):
     """Operator norms of sum_j y_j v_j v_j^T for y = 1 - 2*1_B per row of subsets."""
-    m = subsets.shape[0]
-    n = entries.shape[1]
-    signs = np.ones((m, n))
-    if subsets.shape[1]:
-        signs[np.arange(m)[:, None], subsets] = -1.0
+    signs = np.ones((subsets.shape[0], entries.shape[1]))
+    np.put_along_axis(signs, subsets, -1.0, axis=1)
     mats = (entries[None, :, :] * signs[:, None, :]) @ entries.T
     eigs = np.linalg.eigvalsh(mats)
     return np.abs(eigs).max(axis=-1)
@@ -201,8 +198,9 @@ def _sampled_subsets(n, k, count, gen, chunk=_CHUNK):
 def _positive_definite(base, scale, grams):
     """Rows of a (d, d, m) stack where base + scale * G_B has positive LDL^T pivots.
 
-    Left-looking: column j is built from the finished columns alone, so no
-    trailing block is updated.  A zero, negative or NaN pivot reads False.
+    ``base`` is one (d, d, 1) matrix or a (d, d, m) stack.  Left-looking:
+    column j is built from the finished columns alone, so no trailing block
+    is updated.  A zero, negative or NaN pivot reads False.
     """
     d, _, m = grams.shape
     low = np.empty((d, d, m))  # L, below the diagonal
@@ -210,7 +208,7 @@ def _positive_definite(base, scale, grams):
     ok = np.ones(m, dtype=bool)
     with np.errstate(all="ignore"):
         for j in range(d):
-            col = (base[j:, j, None] + scale * grams[j:, j]
+            col = (base[j:, j] + scale * grams[j:, j]
                    - np.einsum("ikm,km->im", low[j:, :j], scaled[j, :j]))
             ok &= col[0] > 0.0
             scaled[j:, j] = col
@@ -232,12 +230,12 @@ class _SubsetKernel:
     Grams G_B of a block are one GEMM against its 0/1 indicator; the frame's
     G = V V^T; and the squared projections (u_i . v_j)^2 of the columns on the
     eigenvectors u_i of G, so that the Rayleigh quotients u_i^T G_B u_i are
-    another.  Per block, the rows with the best Rayleigh bound are decomposed
-    first to set an incumbent; an LDL^T test then certifies which rows are
-    worse than it by more than the margin, and only the others are
-    decomposed.  Every row decomposed goes through ``_vertex_op_norms`` or
-    ``_subset_gram_extremes`` and keeps its block order, so values, ties and
-    witnesses match decomposing every row.
+    another.  The vertex and Gram certificates decompose the rows with the
+    best Rayleigh bound of each block first, to set an incumbent; Cheeger
+    takes the best of the smaller subsets.  An LDL^T test then certifies
+    which rows are worse than the incumbent by more than the margin, and
+    only the others are decomposed, by the formula of decomposing every row
+    and in block order, so values, ties and witnesses match it.
     """
 
     def __init__(self, frame):
@@ -249,7 +247,7 @@ class _SubsetKernel:
         self.evals, vecs = np.linalg.eigh(self.gram)
         self.proj = (vecs.T @ entries) ** 2
         self.tol = _PRUNE_RTOL * float(np.trace(self.gram))
-        self.eye = np.eye(d)
+        self.eye = np.eye(d)[:, :, None]
 
     def _block(self, subsets):
         """Grams G_B as a (d, d, m) stack and their (d, m) Rayleigh quotients."""
@@ -275,8 +273,8 @@ class _SubsetKernel:
             c = max(best, float(vals.max())) - self.tol
             # ||M|| < c  iff  cI - M = (cI - G) + 2 G_B and cI + M are PD
             rest = ~probed & ~(
-                _positive_definite(c * self.eye - self.gram, 2.0, grams)
-                & _positive_definite(c * self.eye + self.gram, -2.0, grams))
+                _positive_definite(c * self.eye - self.gram[:, :, None], 2.0, grams)
+                & _positive_definite(c * self.eye + self.gram[:, :, None], -2.0, grams))
             if rest.any():
                 vals[rest] = _vertex_op_norms(self.entries, subsets[rest])
             i = int(np.argmax(vals))
@@ -316,6 +314,42 @@ class _SubsetKernel:
                 hi = float(maxs[j])
                 hi_subset = np.sort(subsets[j])
         return lo, lo_subset, hi, hi_subset
+
+    def cheeger(self, size):
+        """Smallest bottleneck ratio and the first B, then smallest k, attaining it.
+
+        With N = ||V_B||^2, a = s/d and M = G - 2 G_B, k = 0 gives N/N = 1 and
+        k >= 1 at least (N + k lambda_min(M)) / (a k + N), monotone in k; once
+        best < 1, B loses if M - (best a + (best - 1) N / k_max + tol) I is PD.
+        """
+        d, n = self.entries.shape
+        a = size / d
+        col_sq = column_square_norms(self.entries)
+        best, best_subset, best_k = math.inf, None, None
+        for b_size in range(n + 1):
+            k_max = (d * (n - b_size)) // n
+            if best < 1.0 and not k_max:
+                break
+            # k = 0 with B empty is 0/0, so the empty block starts at k = 1
+            ks = np.arange(0 if b_size else 1, k_max + 1)
+            for subsets in _combo_chunks(n, b_size):
+                norms = col_sq[subsets].sum(axis=1)
+                if best < 1.0:
+                    c = best * a + (best - 1.0) * norms / k_max + self.tol
+                    keep = ~_positive_definite(self.gram[:, :, None] - c * self.eye,
+                                               -2.0, self._block(subsets)[0])
+                    if not keep.any():
+                        continue
+                    subsets, norms = subsets[keep], norms[keep]
+                cols = self.entries.T[subsets]
+                eigs = np.linalg.eigvalsh(self.gram - 2.0 * (cols.mT @ cols))
+                # row k: the sum of each subset's k smallest eigenvalues
+                lowest = np.cumsum(np.pad(eigs, ((0, 0), (1, 0))), axis=1).T
+                ratios = (norms + lowest[ks]) / (a * ks[:, None] + norms)
+                k, i = divmod(int(np.argmin(ratios)), len(norms))
+                if ratios[k, i] < best:
+                    best, best_subset, best_k = ratios[k, i], subsets[i], ks[k]
+        return float(best), best_subset, int(best_k)
 
 
 def quantum_expansion_exact(frame: Frame) -> QuantumExpansionResult:
@@ -518,44 +552,18 @@ def cheeger_constant(frame: Frame) -> CheegerResult:
     (s/d) k + ||V_B||_F^2.
     """
     rep = _require_balanced(frame, "cheeger_constant")
-    entries = frame.entries
-    d, n = entries.shape
-    if n > CHEEGER_MAX_N:
+    if frame.n > CHEEGER_MAX_N:
         raise UnsupportedConfigError(
-            f"exact Cheeger enumeration supports n <= {CHEEGER_MAX_N}, got {n}"
+            f"exact Cheeger enumeration supports n <= {CHEEGER_MAX_N}, got {frame.n}"
         )
-    s = rep.size
-    gram = frame.gram
-    col_sq = column_square_norms(entries)
-    best = math.inf
-    best_subset = None
-    best_k = None
-    for b_size in range(0, n + 1):
-        k_max = (d * (n - b_size)) // n
-        for subsets in _combo_chunks(n, b_size):
-            cols = entries.T[subsets]
-            sub_grams = cols.transpose(0, 2, 1) @ cols
-            norms_b = col_sq[subsets].sum(axis=1)
-            eigs = np.linalg.eigvalsh(gram[None, :, :] - 2.0 * sub_grams)
-            cums = np.cumsum(eigs, axis=1)
-            # k = 0 with B empty is 0/0, so the empty block starts at k = 1
-            for k in range(0 if b_size else 1, k_max + 1):
-                nums = norms_b + cums[:, k - 1] if k else norms_b
-                dens = (s / d) * k + norms_b
-                ratios = nums / dens
-                i = int(np.argmin(ratios))
-                if ratios[i] < best:
-                    best = float(ratios[i])
-                    best_subset = subsets[i]
-                    best_k = k
+    best, subset, k = _SubsetKernel(frame).cheeger(rep.size)
     basis = None
-    if best_k:
-        sub = entries[:, best_subset]
-        _, vecs = np.linalg.eigh(gram - 2.0 * (sub @ sub.T))
-        basis = vecs[:, :best_k]
+    if k:
+        sub = frame.entries[:, subset]
+        basis = np.linalg.eigh(frame.gram - 2.0 * (sub @ sub.T))[1][:, :k]
         basis.setflags(write=False)
-    return CheegerResult(value=max(best, 0.0), subset=tuple(best_subset.tolist()),
-                         k=best_k, basis=basis)
+    return CheegerResult(value=max(best, 0.0), subset=tuple(subset.tolist()),
+                         k=k, basis=basis)
 
 
 def infty_implies_quantum_check(frame: Frame) -> ChainReport:

@@ -129,6 +129,28 @@ class TestScale:
         assert last[5:] == [state.int_isotropy_op, state.int_norm_op]
 
     @pytest.mark.parametrize("method", ["flipflop", "flow"])
+    def test_csv_of_huge_input_has_the_rows_of_size_one(self, tmp_path, method):
+        # the raw input's report overflows at size 1e200; only a solve that
+        # takes no step writes it
+        frame = sample_sphere_frame(4, 16, SeedSpec(2, 4))
+        rows = []
+        for scale in (1.0, 1e100):
+            path = tmp_path / "frame.txt"
+            csv = tmp_path / "traj.csv"
+            save_matrix_text(path, Frame(frame.entries * scale))
+            assert main(["scale", "--input", str(path), "--method", method,
+                         "--csv", str(csv)]) == 0
+            rows.append(csv.read_text().splitlines())
+        assert len(rows[1]) == len(rows[0]) > 1
+
+    def test_input_at_tolerance_writes_its_own_row(self, tmp_path):
+        path = tmp_path / "identity.txt"
+        csv = tmp_path / "traj.csv"
+        save_matrix_text(path, Frame(np.eye(3)))
+        assert main(["scale", "--input", str(path), "--csv", str(csv)]) == 0
+        assert csv.read_text().splitlines()[1].split(",")[:3] == ["0", "3", "0"]
+
+    @pytest.mark.parametrize("method", ["flipflop", "flow"])
     def test_no_balancing_scaling_is_a_result(self, tmp_path, method):
         path = tmp_path / "two_heavy.txt"
         save_matrix_text(path, np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))

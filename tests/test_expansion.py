@@ -33,12 +33,14 @@ from framescale.expansion import (
     _subset_gram_extremes,
     _vertex_op_norms,
 )
+from framescale.frame import column_square_norms
 
 from _oracles import (
     brute_force_cheeger,
     brute_force_infty_sup,
     brute_force_subset_gram_bounds,
 )
+from test_acceptance import _balanced_battery
 
 LAM_EQUIANGULAR = 1.0 - 1.0 / math.sqrt(2.0)  # closed form, frozen
 
@@ -295,7 +297,72 @@ class TestConversionBounds:
         assert observed.alpha_min >= bound.alpha_min - 1e-9
 
 
+def _unpruned_cheeger(frame):
+    """Value, subset, k and basis from decomposing every subset, block by block."""
+    entries = frame.entries
+    d, n = entries.shape
+    s = error_report(frame).size
+    gram = frame.gram
+    col_sq = column_square_norms(entries)
+    best, best_subset, best_k = math.inf, None, None
+    for b_size in range(0, n + 1):
+        k_max = (d * (n - b_size)) // n
+        for subsets in _combo_chunks(n, b_size):
+            cols = entries.T[subsets]
+            sub_grams = cols.transpose(0, 2, 1) @ cols
+            norms_b = col_sq[subsets].sum(axis=1)
+            cums = np.cumsum(np.linalg.eigvalsh(gram[None, :, :] - 2.0 * sub_grams),
+                             axis=1)
+            for k in range(0 if b_size else 1, k_max + 1):
+                nums = norms_b + cums[:, k - 1] if k else norms_b
+                ratios = nums / ((s / d) * k + norms_b)
+                i = int(np.argmin(ratios))
+                if ratios[i] < best:
+                    best, best_subset, best_k = float(ratios[i]), subsets[i], k
+    basis = None
+    if best_k:
+        sub = entries[:, best_subset]
+        basis = np.linalg.eigh(gram - 2.0 * (sub @ sub.T))[1][:, :best_k]
+    return max(best, 0.0), tuple(best_subset.tolist()), best_k, basis
+
+
+@pytest.fixture(scope="module")
+def cheeger_frames():
+    """Criterion 9's battery, 22 balanced sphere frames with d <= 4 and n <= 16,
+    and balanced frames with repeated columns, whose subsets tie."""
+    frames = _balanced_battery()
+    for d in (2, 3, 4):
+        for n in (5, 6, 7, 8, 9, 10, 12):
+            frames.append(balanced_sphere(d, n, 100 + 20 * d + n))
+    frames.append(balanced_sphere(4, 16, 150))
+    frames += [Frame(np.eye(4)), Frame([[1.0, 1.0]]), mercedes(),
+               Frame(np.hstack([equiangular4().entries] * 3)),
+               Frame(np.hstack([np.eye(4)] * 2))]
+    return frames
+
+
 class TestCheeger:
+    def test_kernel_equals_unpruned_enumeration(self, cheeger_frames):
+        for frame in cheeger_frames:
+            result = cheeger_constant(frame)
+            value, subset, k, basis = _unpruned_cheeger(frame)
+            assert (result.value, result.subset, result.k) == (value, subset, k)
+            assert (result.basis is None if basis is None
+                    else np.array_equal(result.basis, basis))
+
+    def test_decomposes_few_subsets(self, cheeger_frames, monkeypatch):
+        frame = next(f for f in cheeger_frames if f.n == 16)
+        matrices = []
+        original = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            matrices.append(math.prod(np.shape(a)[:-2]))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        cheeger_constant(frame)
+        assert sum(matrices) < 2**16 / 3
+
     def test_identity_frame_zero(self):
         result = cheeger_constant(Frame(np.eye(4)))
         assert result.value == 0.0

@@ -21,7 +21,7 @@ from framescale import (
 )
 from framescale.expansion import INFTY_EXACT_MAX_N, UnsupportedConfigError
 from framescale import sampling
-from framescale.experiments import _estimation_input
+from framescale.experiments import _burn_in, _estimation_input, _tail_ratio
 from framescale.scaling import pd_sqrt
 
 
@@ -195,6 +195,14 @@ class TestConvergence:
         gaps = [r[2] for r in out.rows]
         assert gaps[0] > gaps[-1]
         assert gaps[-1] < 1e-6
+
+    def test_tail_ratio_needs_two_gaps_above_the_floor(self):
+        assert _tail_ratio([1.0, 0.5]) == 0.5
+        assert math.isnan(_tail_ratio([1.0, 1e-14, 0.0]))
+
+    def test_burn_in_without_five_drops_is_the_whole_path(self):
+        assert _burn_in([6.0, 5.0, 4.0, 3.0, 2.0, 1.0]) == 1
+        assert _burn_in([6.0, 5.0, 4.0, 3.0, 2.0, 2.0]) == 6
 
     def test_single_n_required(self):
         with pytest.raises(ValueError):

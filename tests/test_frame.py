@@ -383,7 +383,7 @@ class TestOpNormSymmetric:
         with pytest.raises(ValueError):
             op_norm_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_power_iteration_path(self):
+    def test_dense_path_at_dimension_600(self):
         # a 600 x 600 matrix: the dense path serves every dimension
         m = 600
         gen = np.random.default_rng(0)
