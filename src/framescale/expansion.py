@@ -10,12 +10,15 @@ Three related notions are certified here for a frame V of size s:
 * pseudorandomness: two-sided spectral bounds alpha_min, alpha_max on all
   column-subset Gram matrices of a fixed fraction beta.
 
-Exact certificates enumerate every subset (or reduce to one SVD); sampled
-certificates visit random subsets and are one-sided by construction.  All
-subset certificates, the Cheeger-style bottleneck quantity included, run on
-one kernel that decomposes only the subsets an LDL^T test cannot rule out,
-with the values and witnesses of decomposing every subset.  That quantity
-links infinity expansion to quantum expansion for doubly balanced frames.
+Exact certificates enumerate every subset (or reduce to one SVD), except
+that exact infinity expansion visits only the vertices whose B holds column
+0: B and its complement give M and -M, and ``subsets_checked`` still counts
+every vertex covered.  Sampled certificates visit random subsets and are
+one-sided by construction.  All subset certificates, the Cheeger-style
+bottleneck quantity included, run on one kernel that decomposes only the
+subsets an LDL^T test cannot rule out, with the values and witnesses of
+decomposing every subset.  That quantity links infinity expansion to quantum
+expansion for doubly balanced frames.
 
 Each result carries the witness attaining its value: subsets as tuples of
 0-based column indices (Python ints), vectors and bases as read-only arrays.
@@ -23,6 +26,8 @@ Each result carries the witness attaining its value: subsets as tuples of
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -91,7 +96,12 @@ class QuantumExpansionResult:
 
 @dataclass(frozen=True)
 class InftyExpansionResult:
-    """``y`` = 1 - 2*1_B for B = ``subset`` is the vertex attaining ``sup``."""
+    """``y`` = 1 - 2*1_B for B = ``subset`` is the vertex attaining ``sup``.
+
+    ``subsets_checked`` counts the vertices covered.  The exact certificate
+    visits half of its C(n, n/2): those whose B holds column 0, which cover
+    their complements.
+    """
 
     lam: float
     sup: float
@@ -143,14 +153,15 @@ class HalvingBound:
     beta: Fraction
 
 
-def _combo_chunks(n, k, chunk=_CHUNK):
-    """Yield lexicographic blocks of all k-subsets of range(n) as index arrays.
+def _combo_chunks(n, k, chunk=_CHUNK, rows=None):
+    """Yield lexicographic blocks of the first ``rows`` (default: all)
+    k-subsets of range(n) as index arrays.
 
     Rows come in itertools.combinations order, unranked k searchsorted calls
     at a time: ``starts[i][b]`` counts the subsets whose i-th element is
     below b, whatever the elements before it.
     """
-    total = math.comb(n, k)
+    total = math.comb(n, k) if rows is None else rows
     starts = [
         np.cumsum([0] + [math.comb(n - b - 1, k - i - 1) for b in range(n)])
         for i in range(k)
@@ -165,6 +176,47 @@ def _combo_chunks(n, k, chunk=_CHUNK):
             rest -= start[prev] - base
             block[:, i] = prev
         yield block
+
+
+def _indicator(subsets, n):
+    """The (n, m) 0/1 indicator of m subsets of range(n), one column each."""
+    m = subsets.shape[0]
+    ind = np.zeros((m, n))
+    ind[np.arange(m)[:, None], subsets] = 1.0
+    return ind.T
+
+
+# Tables are kept for one-block enumerations at n <= INFTY_EXACT_MAX_N only.
+# One takes at most 15,504 rows x (15 + 20) x 8 B, about 4.3 MB, at (20, 15);
+# the 20 largest together take about 40 MB.  All 17 at n = 16, which one
+# Cheeger enumeration visits, take 12.6 MB.
+@functools.lru_cache(maxsize=20)
+def _subset_table(n, k):
+    """Every k-subset of range(n) in lexicographic order and its indicator.
+
+    Read-only (m, k) index rows and their (n, m) 0/1 indicator, built once
+    per process for each (n, k).
+    """
+    subsets = next(_combo_chunks(n, k))
+    ind = _indicator(subsets, n)
+    subsets.setflags(write=False)
+    ind.setflags(write=False)
+    return subsets, ind
+
+
+def _lex_blocks(n, k, rows=None):
+    """Yield the first ``rows`` (default: all) lexicographic k-subsets of
+    range(n) as (subsets, indicator) blocks.
+
+    One-block enumerations come from the cached table; longer ones stream
+    through ``_combo_chunks`` with no indicator.
+    """
+    if n <= INFTY_EXACT_MAX_N and math.comb(n, k) <= _CHUNK:
+        subsets, ind = _subset_table(n, k)
+        yield subsets[:rows], ind[:, :rows]
+    else:
+        for subsets in _combo_chunks(n, k, rows=rows):
+            yield subsets, None
 
 
 def _vertex_op_norms(entries, subsets):
@@ -249,21 +301,22 @@ class _SubsetKernel:
         self.tol = _PRUNE_RTOL * float(np.trace(self.gram))
         self.eye = np.eye(d)[:, :, None]
 
-    def _block(self, subsets):
-        """Grams G_B as a (d, d, m) stack and their (d, m) Rayleigh quotients."""
-        m = subsets.shape[0]
+    def _block(self, subsets, ind):
+        """Grams G_B as a (d, d, m) stack and their (d, m) Rayleigh quotients.
+
+        ``ind`` is the block's indicator, or None to build it here.
+        """
         d, n = self.entries.shape
-        ind = np.zeros((m, n))
-        ind[np.arange(m)[:, None], subsets] = 1.0
-        ind = ind.T
-        return (self.outer @ ind).reshape(d, d, m), self.proj @ ind
+        if ind is None:
+            ind = _indicator(subsets, n)
+        return (self.outer @ ind).reshape(d, d, subsets.shape[0]), self.proj @ ind
 
     def max_vertex_norm(self, blocks):
         """Largest operator norm of M = G - 2 G_B and the first subset attaining it."""
         best = -1.0
         best_subset = None
-        for subsets in blocks:
-            grams, quots = self._block(subsets)
+        for subsets, ind in blocks:
+            grams, quots = self._block(subsets, ind)
             probed = np.zeros(subsets.shape[0], dtype=bool)
             # |u_i^T M u_i| <= ||M||
             probed[_leading(np.abs(self.evals[:, None] - 2.0 * quots).max(axis=0),
@@ -287,8 +340,8 @@ class _SubsetKernel:
         """Smallest and largest lambda(G_B) with the first subsets attaining them."""
         lo, hi = math.inf, -math.inf
         lo_subset = hi_subset = None
-        for subsets in blocks:
-            grams, quots = self._block(subsets)
+        for subsets, ind in blocks:
+            grams, quots = self._block(subsets, ind)
             probed = np.zeros(subsets.shape[0], dtype=bool)
             # lambda_min(G_B) <= min_i u_i^T G_B u_i, max_i <= lambda_max(G_B)
             probed[_leading(-quots.min(axis=0), _PROBES)] = True
@@ -332,12 +385,12 @@ class _SubsetKernel:
                 break
             # k = 0 with B empty is 0/0, so the empty block starts at k = 1
             ks = np.arange(0 if b_size else 1, k_max + 1)
-            for subsets in _combo_chunks(n, b_size):
+            for subsets, ind in _lex_blocks(n, b_size):
                 norms = col_sq[subsets].sum(axis=1)
                 if best < 1.0:
                     c = best * a + (best - 1.0) * norms / k_max + self.tol
                     keep = ~_positive_definite(self.gram[:, :, None] - c * self.eye,
-                                               -2.0, self._block(subsets)[0])
+                                               -2.0, self._block(subsets, ind)[0])
                     if not keep.any():
                         continue
                     subsets, norms = subsets[keep], norms[keep]
@@ -376,7 +429,11 @@ def quantum_expansion_exact(frame: Frame) -> QuantumExpansionResult:
         sup = 0.0
         y = np.zeros(n)
     else:
-        _, svals, vt = np.linalg.svd(outer_map @ basis)
+        # only a tall map's U (d^2 x d^2) is large, and LAPACK computes vt
+        # alike for the thin and full SVD of a tall matrix but not of a wide
+        # one, so a wide map keeps the full form and its last bits
+        _, svals, vt = np.linalg.svd(outer_map @ basis,
+                                     full_matrices=d * d < n - 1)
         sup = float(svals[0])
         y = basis @ vt[0]
     y.setflags(write=False)
@@ -407,6 +464,10 @@ def infty_expansion_exact(frame: Frame) -> InftyExpansionResult:
 
     The maximized norm is convex in the test vector, so the sup over the
     zero-sum infinity ball is attained at a vertex 1 - 2*1_B with |B| = n/2.
+    B and its complement give M and -M, computed as exact negatives, and
+    eigvalsh gives both the same largest |eigenvalue|.  So only the first
+    C(n-1, n/2-1) subsets in lexicographic order, those holding column 0,
+    are visited; they hold the first maximizer of the full order.
     """
     n = frame.n
     if n % 2:
@@ -418,7 +479,8 @@ def infty_expansion_exact(frame: Frame) -> InftyExpansionResult:
         raise UnsupportedConfigError(
             f"exact infinity expansion supports n <= {INFTY_EXACT_MAX_N}, got {n}"
         )
-    return _infty_expansion(frame, _combo_chunks(n, n // 2), "exact",
+    half = math.comb(n - 1, n // 2 - 1)
+    return _infty_expansion(frame, _lex_blocks(n, n // 2, half), "exact",
                             math.comb(n, n // 2))
 
 
@@ -434,9 +496,9 @@ def infty_expansion_sampled(frame: Frame, trials: int, seed: SeedSpec
         raise UnsupportedConfigError(f"sampling needs even n, got n={n}")
     if trials < 1:
         raise ValueError("trials must be positive")
-    return _infty_expansion(
-        frame, _sampled_subsets(n, n // 2, trials, seed.generator()), "sampled",
-        trials)
+    blocks = _sampled_subsets(n, n // 2, trials, seed.generator())
+    return _infty_expansion(frame, zip(blocks, itertools.repeat(None)),
+                            "sampled", trials)
 
 
 def _as_beta(beta, n):
@@ -476,14 +538,15 @@ def pseudorandom_check(frame: Frame, beta, mode: str = "exact",
                 f"exact pseudorandomness needs C(n, beta n) <= "
                 f"{PSEUDO_EXACT_MAX_SUBSETS}, got {total}"
             )
-        blocks = _combo_chunks(n, k)
+        blocks = _lex_blocks(n, k)
         checked = total
     else:
         if seed is None:
             raise ValueError("sampled mode needs a seed")
         if trials < 1:
             raise ValueError("trials must be positive")
-        blocks = _sampled_subsets(n, k, trials, seed.generator())
+        blocks = zip(_sampled_subsets(n, k, trials, seed.generator()),
+                     itertools.repeat(None))
         checked = trials
     lo, lo_subset, hi, hi_subset = _SubsetKernel(frame).gram_extremes(blocks)
     scale = d / float(frac)

@@ -29,8 +29,10 @@ from framescale.expansion import (
     BalanceRequiredError,
     UnsupportedConfigError,
     _combo_chunks,
+    _lex_blocks,
     _sampled_subsets,
     _subset_gram_extremes,
+    _subset_table,
     _vertex_op_norms,
 )
 from framescale.frame import column_square_norms
@@ -113,6 +115,21 @@ class TestQuantumExpansion:
         assert result.lam == lam
         assert result.sup == sup
         assert np.array_equal(result.y, y)
+
+    # (2, 16) is a wide map whose thin SVD rounds the witness differently
+    @pytest.mark.parametrize("shape", [(2, 16), (4, 16), (16, 20), (16, 256), (64, 80)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_matches_full_svd_form(self, shape):
+        frame = sample_sphere_frame(*shape, SeedSpec(73, 0))
+        entries = frame.entries
+        d, n = shape
+        basis = np.linalg.svd(np.ones((n, 1)))[0][:, 1:]
+        outer_map = (entries[:, None, :] * entries[None, :, :]).reshape(d * d, n)
+        _, svals, vt = np.linalg.svd(outer_map @ basis)
+        lam = 1.0 - float(svals[0]) * math.sqrt(d * n) / float(np.sum(entries * entries))
+        result = quantum_expansion_exact(frame)
+        assert result.lam == lam
+        assert np.array_equal(result.y, basis @ vt[0])
 
 
 class TestInftyExpansion:
@@ -566,14 +583,93 @@ def _full_pseudo(entries, subsets, beta):
             tuple(np.sort(subsets[i])), tuple(np.sort(subsets[j])))
 
 
+def _full_vertices(entries):
+    """sup, its first vertex and the vertex count from decomposing all C(n, n/2)."""
+    combos = itertools.combinations(range(entries.shape[1]), entries.shape[1] // 2)
+    best, best_subset, count = -1.0, None, 0
+    while rows := list(itertools.islice(combos, 16384)):
+        sups = _vertex_op_norms(entries, np.array(rows, dtype=np.intp))
+        i = int(np.argmax(sups))
+        if sups[i] > best:
+            best, best_subset = float(sups[i]), rows[i]
+        count += len(rows)
+    return best, best_subset, count
+
+
+def _certificates(frame):
+    """Every exact subset certificate of a balanced frame, arrays as bytes."""
+    results = (infty_expansion_exact(frame), pseudorandom_check(frame, Fraction(1, 4)),
+               pseudorandom_check(frame, Fraction(1, 2)), cheeger_constant(frame))
+    return [{key: value.tobytes() if isinstance(value, np.ndarray) else value
+             for key, value in vars(result).items()} for result in results]
+
+
 class TestSubsetKernel:
     def test_combo_chunks_match_itertools(self):
         for n in range(0, 11):
             for k in range(0, n + 1):
+                expected = list(itertools.combinations(range(n), k))
                 blocks = list(_combo_chunks(n, k, chunk=7))
                 assert all(0 < b.shape[0] <= 7 and b.shape[1] == k for b in blocks)
                 rows = [tuple(int(j) for j in row) for b in blocks for row in b]
-                assert rows == list(itertools.combinations(range(n), k)), (n, k)
+                assert rows == expected, (n, k)
+                subsets, ind = _subset_table(n, k)
+                assert [tuple(int(j) for j in row) for row in subsets] == expected
+                assert ind.shape == (n, len(expected))
+                for row, column in zip(expected, ind.T):
+                    assert column.tolist() == [float(j in row) for j in range(n)]
+
+    def test_subset_table_is_read_only(self):
+        subsets, ind = _subset_table(8, 4)
+        with pytest.raises(ValueError):
+            subsets[0, 0] = 1
+        with pytest.raises(ValueError):
+            ind[0, 0] = 0.0
+        # slices handed to the kernel are views, read-only as well
+        [(half, half_ind)] = _lex_blocks(8, 4, math.comb(7, 3))
+        assert half.base is not None and not half.flags.writeable
+        assert not half_ind.flags.writeable
+
+    def test_only_one_block_tables_at_small_n_are_cached(self):
+        _subset_table.cache_clear()
+        # C(20, 10) exceeds one block and C(24, 3) has n > 20: both stream
+        infty_expansion_exact(sample_sphere_frame(4, 20, SeedSpec(94, 0)))
+        pseudorandom_check(sample_sphere_frame(4, 24, SeedSpec(94, 1)), Fraction(1, 8))
+        assert _subset_table.cache_info().currsize == 0
+        assert all(ind is None for _, ind in _lex_blocks(20, 10))
+        infty_expansion_exact(sample_sphere_frame(4, 16, SeedSpec(94, 2)))
+        assert _subset_table.cache_info().currsize == 1
+
+    def test_cold_and_warm_tables_agree(self):
+        frame = balanced_sphere(4, 16, 160)
+        _subset_table.cache_clear()
+        cold = _certificates(frame)
+        built = _subset_table.cache_info()
+        assert built.misses > 0
+        assert _certificates(frame) == cold
+        assert _subset_table.cache_info().misses == built.misses
+
+    @pytest.mark.parametrize("case", [
+        *((kind, d, n) for kind in ("raw", "balanced")
+          for d in (2, 3, 4) for n in (8, 16, 18)),
+        ("raw", 4, 20), ("balanced", 2, 20),
+        "identity-x4", "equiangular-x3", "repeated-direction",
+    ], ids=lambda case: case if isinstance(case, str) else "-".join(map(str, case)))
+    def test_half_enumeration_equals_full(self, case):
+        if isinstance(case, str):
+            frame = Frame(KERNEL_FRAMES[case])
+        elif case[0] == "raw":
+            frame = sample_sphere_frame(case[1], case[2], SeedSpec(95, case[2]))
+        else:
+            frame = balanced_sphere(case[1], case[2], 170 + case[2])
+        entries = frame.entries
+        sup, subset, count = _full_vertices(entries)
+        y = np.ones(frame.n)
+        y[list(subset)] = -1.0
+        result = infty_expansion_exact(frame)
+        assert result.lam == 1.0 - frame.d * sup / float(np.sum(entries * entries))
+        assert (result.sup, result.subset, result.subsets_checked) == (sup, subset, count)
+        assert np.array_equal(result.y, y)
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     @pytest.mark.parametrize("name", sorted(KERNEL_FRAMES))

@@ -16,3 +16,16 @@ def test_import_loads_no_scipy():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_import_builds_no_subset_table():
+    # enumeration tables are built on first use, so importing pays for none
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import framescale; "
+         "from framescale.expansion import _subset_table; "
+         "print(_subset_table.cache_info().currsize)",
+         str(SRC)],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "0"
